@@ -13,7 +13,7 @@ export PYTHONPATH := src
 	bench-updates bench-updates-smoke bench-shard \
 	bench-shard-smoke bench-estimation bench-estimation-smoke \
 	semantic-smoke bench-semantic bench-semantic-smoke \
-	bench-check
+	bench-e2e bench-e2e-smoke bench-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -32,9 +32,9 @@ test-backends:
 chaos: chaos-serve
 	$(PYTHON) -m pytest -q -m chaos tests/resilience
 
-# Serve-path chaos matrix: kill/slow/flaky shards behind the router;
-# every response must be bit-identical fresh, flagged-stale within
-# budget, or an honest 503 — never silently wrong.
+# Serve-path chaos matrix: every ranked route x kill/slow/flaky shards
+# behind the router; every response must be bit-identical fresh,
+# flagged-stale within budget, or an honest 503 — never silently wrong.
 chaos-serve:
 	$(PYTHON) -m pytest -q -m chaos_serve tests/serve
 
@@ -159,6 +159,16 @@ bench-estimation:
 # the sublinearity clause are never waived.
 bench-estimation-smoke:
 	$(PYTHON) benchmarks/bench_estimation.py --smoke --output /tmp/BENCH_estimate_smoke.json
+
+# End-to-end serving benchmark: boots the real server as a separate
+# process and drives every workload over HTTP; prints each metric and
+# a JSON result line.  The smoke run is short and adds a traced boot,
+# so every layer shim must still resolve.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke --trace 1
 
 # Regenerate every benchmark record into /tmp and diff it against the
 # committed one; --strict turns regressions above the noise threshold

@@ -329,6 +329,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+def _endpoint_list() -> str:
+    from repro.serve.server import ROUTES
+
+    return "  ".join(
+        f"{route.method} {path}" for path, route in ROUTES.items()
+    )
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: boot the online ranking server."""
     import asyncio
@@ -370,9 +378,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         print(
-            "endpoints: POST /rank  POST /search  "
-            "POST /semantic-search  GET /healthz  GET /metrics  "
-            "(Ctrl-C drains and exits)",
+            f"endpoints: {_endpoint_list()}  (Ctrl-C drains and exits)",
             file=sys.stderr,
         )
         try:
@@ -431,9 +437,7 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         print(
-            "endpoints: POST /rank  POST /search  "
-            "POST /semantic-search  POST /update  GET /healthz  "
-            "GET /metrics  (Ctrl-C stops the fleet)",
+            f"endpoints: {_endpoint_list()}  (Ctrl-C stops the fleet)",
             file=sys.stderr,
         )
         while True:

@@ -122,6 +122,26 @@ class RetryPolicy:
         rng = np.random.default_rng((self.seed, attempt))
         return raw * (1.0 + self.jitter * float(rng.uniform(-1.0, 1.0)))
 
+    def retry_pause(
+        self, attempt: int, retry_after: str | None = None
+    ) -> float:
+        """Seconds to wait before retrying an HTTP request.
+
+        The :meth:`backoff` for ``attempt``, raised to the server's
+        ``Retry-After`` hint when one was sent — capped at
+        ``backoff_max`` so a pathological header cannot park the
+        caller.  An unparseable hint is ignored.
+        """
+        pause = self.backoff(attempt)
+        if retry_after:
+            try:
+                pause = max(
+                    pause, min(float(retry_after), self.backoff_max)
+                )
+            except ValueError:
+                pass
+        return pause
+
     def remaining_deadline(self, elapsed: float) -> float | None:
         """Seconds left of the total budget; ``None`` when unbounded."""
         if self.total_deadline is None:

@@ -18,9 +18,12 @@ Layering, bottom up:
   (503 on overload) and per-request deadlines;
 * :mod:`repro.serve.server` — :class:`RankingService` (the
   transport-free engine) and :class:`RankingServer` (stdlib-asyncio
-  HTTP/1.1: ``POST /rank``, ``POST /search``, ``GET /healthz``,
-  ``GET /metrics``), plus :func:`start_background_server` for tests
-  and benchmarks;
+  HTTP/1.1 over one ``ROUTES`` table: ``POST /rank``, ``POST
+  /search``, ``POST /semantic-search``, ``POST /update``, ``GET
+  /healthz``, ``GET /metrics``), plus :func:`start_background_server`
+  for tests and benchmarks;
+* :mod:`repro.serve.wire` — HTTP message framing shared by both
+  transports, and the one codec for ranked answers;
 * :mod:`repro.serve.client` — :class:`RankingClient`, the blocking
   stdlib HTTP client;
 * :mod:`repro.serve.bench` — the closed-loop batching-on-vs-off

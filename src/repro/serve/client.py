@@ -1,9 +1,8 @@
 """Blocking HTTP client for the ranking service (stdlib only).
 
 A thin convenience wrapper over :mod:`http.client` matching the
-server's endpoints.  JSON floats round-trip bit-exactly (Python emits
-and parses shortest-round-trip ``repr`` literals), so ``rank_scores``
-reconstructs the served
+server's endpoints.  JSON floats round-trip bit-exactly (see
+:mod:`repro.serve.wire`), so ``rank_scores`` reconstructs the served
 :class:`~repro.pagerank.result.SubgraphScores` with the exact solver
 output — the bit-identity tests compare through this path.
 
@@ -32,8 +31,6 @@ import time
 import urllib.parse
 from typing import Any, Iterable
 
-import numpy as np
-
 from repro.exceptions import (
     ServeRequestError,
     ServeRetriesExhaustedError,
@@ -45,6 +42,7 @@ from repro.resilience.policy import (
     classify_failure,
     classify_http_status,
 )
+from repro.serve.wire import scores_from_payload
 
 __all__ = ["RankingClient"]
 
@@ -222,20 +220,9 @@ class RankingClient:
             last_payload = decoded if isinstance(decoded, dict) else None
             if final:
                 break
-            pause = policy.backoff(attempt)
-            retry_after = headers.get("retry-after")
-            if retry_after:
-                try:
-                    # Honour the server's hint, capped by the policy's
-                    # own backoff ceiling so a pathological header
-                    # cannot park the client.
-                    pause = max(
-                        pause,
-                        min(float(retry_after), policy.backoff_max),
-                    )
-                except ValueError:
-                    pass
-            time.sleep(pause)
+            time.sleep(
+                policy.retry_pause(attempt, headers.get("retry-after"))
+            )
         self.last_attempts = tuple(attempts)
         raise ServeRetriesExhaustedError(
             f"{method} {path} failed after {len(attempts)} "
@@ -301,42 +288,9 @@ class RankingClient:
         estimator: str | None = None,
     ) -> SubgraphScores:
         """``POST /rank`` reconstructed as a :class:`SubgraphScores`."""
-        payload = self.rank(
+        return scores_from_payload(self.rank(
             nodes, damping, deadline_seconds, estimator=estimator
-        )
-        extras = {"cache_hit": payload["cache_hit"]}
-        if "lambda_score" in payload:
-            extras["lambda_score"] = payload["lambda_score"]
-        # Staleness accounting rides along so callers can honour the
-        # fresh-or-flagged serving contract without re-requesting.
-        if payload.get("stale"):
-            extras["stale"] = True
-            extras["staleness"] = float(payload.get("staleness", 0.0))
-        if payload.get("degraded"):
-            extras["degraded"] = True
-        if "warm_start" in payload:
-            extras["warm_start"] = bool(payload["warm_start"])
-            extras["iterations_saved"] = int(
-                payload.get("iterations_saved", 0)
-            )
-        if "estimator" in payload:
-            extras["estimator"] = str(payload["estimator"])
-            extras["estimated"] = bool(payload.get("estimated", False))
-            extras["error_bound"] = float(
-                payload.get("error_bound", 0.0)
-            )
-            if "edges_touched" in payload:
-                extras["edges_touched"] = int(payload["edges_touched"])
-        return SubgraphScores(
-            local_nodes=np.asarray(payload["nodes"], dtype=np.int64),
-            scores=np.asarray(payload["scores"], dtype=np.float64),
-            method=payload["method"],
-            iterations=payload["iterations"],
-            residual=payload["residual"],
-            converged=payload["converged"],
-            runtime_seconds=payload["runtime_seconds"],
-            extras=extras,
-        )
+        ))
 
     def search(
         self,

@@ -7,11 +7,14 @@ non-blocking counterpart, scoped to exactly what the cluster needs:
 one request per connection (``Connection: close``), explicit
 ``Content-Length`` framing, and a hard per-request timeout.
 
-Failure surface is deliberately narrow so the router's classifier
+Responses are framed by the server's own head reader
+(:func:`repro.serve.wire.read_message`).  The failure surface is
+deliberately narrow so the router's classifier
 (:func:`repro.resilience.policy.classify_failure`) sees retryable
 types: a connection severed mid-response
-(``asyncio.IncompleteReadError``) or a server that sent nothing is
-re-raised as :class:`ConnectionResetError`; timeouts surface as
+(``asyncio.IncompleteReadError``), a server that sent nothing, and a
+head that cannot be framed are all re-raised as
+:class:`ConnectionResetError`; timeouts surface as
 :class:`TimeoutError` via :func:`asyncio.wait_for`.
 """
 
@@ -21,6 +24,8 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.serve.wire import read_message
 
 __all__ = ["HttpResponse", "http_request"]
 
@@ -71,37 +76,28 @@ async def _request(
         )
         await writer.drain()
 
-        status_line = await reader.readline()
-        if not status_line.strip():
+        try:
+            message = await read_message(reader)
+        except ValueError as exc:
+            raise ConnectionResetError(
+                f"{host}:{port} sent a malformed response head: {exc}"
+            ) from exc
+        except asyncio.IncompleteReadError as exc:
+            raise ConnectionResetError(
+                f"{host}:{port} dropped the connection mid-response"
+            ) from exc
+        if message is None or not message[0]:
             raise ConnectionResetError(
                 f"{host}:{port} closed the connection without a response"
             )
+        status_line, response_headers, payload = message
         try:
-            __, status_text, *_ = (
-                status_line.decode("latin-1").strip().split(" ", 2)
-            )
-            status = int(status_text)
+            status = int(status_line.split(" ", 2)[1])
         except (ValueError, IndexError):
             raise ConnectionResetError(
                 f"{host}:{port} sent a malformed status line: "
                 f"{status_line!r}"
             )
-        response_headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, __, value = line.decode("latin-1").partition(":")
-            response_headers[name.strip().lower()] = value.strip()
-        length = int(response_headers.get("content-length", "0") or "0")
-        try:
-            payload = (
-                await reader.readexactly(length) if length else b""
-            )
-        except asyncio.IncompleteReadError as exc:
-            raise ConnectionResetError(
-                f"{host}:{port} dropped the connection mid-response"
-            ) from exc
         return HttpResponse(
             status=status, headers=response_headers, body=payload
         )
@@ -118,27 +114,17 @@ async def http_request(
     port: int,
     method: str,
     path: str,
-    body: bytes | None = None,
-    payload: dict | None = None,
+    body: bytes = b"",
     headers: dict[str, str] | None = None,
     timeout: float | None = None,
 ) -> HttpResponse:
     """Perform one HTTP request; returns the parsed response.
 
-    Exactly one of ``body`` (raw bytes, forwarded verbatim — the
-    router's pass-through path) and ``payload`` (a dict, JSON-encoded
-    here) may be given.  ``timeout`` bounds the whole exchange —
-    connect, send, and read — raising :class:`TimeoutError` when
-    exceeded.
+    ``body`` is sent verbatim (the router's pass-through path).
+    ``timeout`` bounds the whole exchange — connect, send, and read —
+    raising :class:`TimeoutError` when exceeded.
     """
-    if body is not None and payload is not None:
-        raise ValueError("pass either body or payload, not both")
-    raw = body if body is not None else (
-        json.dumps(payload).encode("utf-8")
-        if payload is not None
-        else b""
-    )
-    coro = _request(host, port, method, path, raw, headers or {})
+    coro = _request(host, port, method, path, body, headers or {})
     if timeout is None:
         return await coro
     return await asyncio.wait_for(coro, timeout=timeout)

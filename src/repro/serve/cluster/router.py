@@ -4,7 +4,7 @@ The router owns no solver.  It classifies, retries, breaks circuits,
 sheds load, and — when a whole shard is gone — degrades honestly.  The
 serving contract it enforces end to end:
 
-    every ``/rank`` response is **bit-identical fresh**, or **flagged
+    every ranked response is **bit-identical fresh**, or **flagged
     stale within the Theorem-2 budget**, or an **honest 503** — never
     silently wrong.
 
@@ -13,11 +13,12 @@ Mechanisms, in the order a request meets them:
 * **load shedding** — beyond ``max_inflight`` concurrent forwards the
   request is refused on arrival (503 + ``Retry-After``) instead of
   queueing into timeout purgatory;
-* **consistent-hash routing** — the subgraph digest picks the shard
-  via the manager's :class:`~repro.p2p.partition.HashRing`, so a hot
-  subgraph always warms the same shard's store (``/semantic-search``
-  carries no node set, so it routes by the query-terms digest
-  instead — same query, same shard, warm selection cache);
+* **consistent-hash routing** — every ranked route of
+  :data:`~repro.serve.server.ROUTES` is forwarded to the shard its
+  placement key (the subgraph digest, or the query-terms digest for
+  ``/semantic-search``) picks via the manager's
+  :class:`~repro.p2p.partition.HashRing`, so a hot query always warms
+  the same shard's caches;
 * **failure-classified retries** — transport failures go through
   :func:`~repro.resilience.policy.classify_failure` (connect resets
   and timeouts are retryable), HTTP statuses through
@@ -33,15 +34,15 @@ Mechanisms, in the order a request meets them:
 * **health-based ejection** — a background prober ejects replicas
   after consecutive ``/healthz`` failures and re-admits them when
   health *and* graph fingerprint are good again;
-* **fingerprint gating** — a 200 whose ``graph_fingerprint`` differs
-  from the router's current graph is treated as a retryable failure
-  (the replica has not absorbed an update yet); this is what makes
-  "never silently wrong" hold across update propagation races;
+* **fingerprint gating** — a ranked 200 whose ``graph_fingerprint``
+  differs from the router's current graph is treated as a retryable
+  failure (the replica has not absorbed an update yet); this is what
+  makes "never silently wrong" hold across update propagation races;
 * **deadline propagation** — the remaining budget rides the
   ``X-Repro-Deadline`` header so a shard never solves for a caller
   that has already given up;
 * **graceful degradation** — with every replica of a shard down, the
-  router serves the last-known scores from its own replicated
+  router serves a ``/rank`` request the last-known scores from its own replicated
   :class:`~repro.serve.store.ScoreStore`, flagged ``degraded`` (and
   ``stale`` + charged when they predate an update — the store's
   budget double-check guarantees over-budget entries are never
@@ -52,25 +53,12 @@ Mechanisms, in the order a request meets them:
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import logging
 import time
 
-import numpy as np
-
-from repro.exceptions import (
-    DatasetError,
-    DeadlineExceededError,
-    GraphError,
-    ReproError,
-    ServiceOverloadedError,
-    SubgraphError,
-)
+from repro.exceptions import ServiceOverloadedError
 from repro.graph.digraph import CSRGraph
-from repro.obs.export import to_prometheus_text
 from repro.obs.metrics import SECONDS_BUCKETS
-from repro.pagerank.result import SubgraphScores
 from repro.resilience.policy import (
     AttemptRecord,
     RetryPolicy,
@@ -81,36 +69,20 @@ from repro.serve.cluster.breaker import CircuitBreaker
 from repro.serve.cluster.http import http_request
 from repro.serve.cluster.manager import ShardManager
 from repro.serve.server import (
-    _JSON,
-    _QUERY_PSEUDO_HEADER,
-    _TEXT,
     BackgroundServer,
     DEADLINE_HEADER,
     RankingServer,
-    _scores_payload,
+    RankOutcome,
+    Request,
+    Route,
 )
-from repro.serve.store import (
-    ScoreStore,
-    graph_fingerprint,
-    subgraph_digest,
-)
+from repro.serve.store import ScoreStore, StoreHit, graph_fingerprint
+from repro.serve.wire import ranked_payload, scores_fields, scores_from_payload
 from repro.updates.delta import GraphDelta, apply_delta
 
 __all__ = ["ShardRouter", "ClusterHandle", "start_cluster"]
 
 log = logging.getLogger(__name__)
-
-
-def _terms_digest(terms) -> str:
-    """Placement key for a semantic query (terms-only digest).
-
-    The router cannot compute the replica's full
-    :func:`~repro.semantic.pipeline.semantic_query_digest` (it does
-    not know the embedding configuration), but placement only needs
-    *consistency*: same terms, same shard.
-    """
-    canonical = json.dumps(sorted({int(t) for t in terms}))
-    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
 class _NullService:
@@ -119,9 +91,6 @@ class _NullService:
 
     async def close(self) -> None:
         return None
-
-    def health(self) -> dict:
-        return {"status": "ok", "role": "router"}
 
 
 class _ReplicaState:
@@ -192,11 +161,6 @@ class ShardRouter(RankingServer):
     seed:
         Seeds the deterministic jitter of backoffs and breaker reopens.
     """
-
-    ENDPOINTS: tuple[str, ...] = (
-        "/rank", "/search", "/semantic-search", "/healthz",
-        "/metrics", "/update",
-    )
 
     def __init__(
         self,
@@ -422,53 +386,32 @@ class ShardRouter(RankingServer):
     # Routing
     # ------------------------------------------------------------------
 
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        headers: dict[str, str] | None = None,
-    ):
-        headers = headers or {}
+    async def _answer(self, route: Route, request: Request):
+        """Forward every ranked route; answer the rest here."""
+        if not route.ranked:
+            return await super()._answer(route, request)
+        if self._inflight >= self._max_inflight:
+            self._count_outcome(request.path, "shed")
+            raise ServiceOverloadedError(
+                f"router at max inflight ({self._max_inflight}); "
+                "retry later"
+            )
+        self._inflight += 1
+        started = time.perf_counter()
         try:
-            if path == "/healthz":
-                if method != "GET":
-                    return 405, {"error": "use GET"}, _JSON
-                return 200, self.cluster_health(), _JSON
-            if path == "/metrics":
-                if method != "GET":
-                    return 405, {"error": "use GET"}, _JSON
-                text = to_prometheus_text(self._registry.snapshot())
-                return 200, text, _TEXT
-            if path in ("/rank", "/search", "/semantic-search"):
-                if method != "POST":
-                    return 405, {"error": "use POST"}, _JSON
-                return await self._forward_ranked(path, body, headers)
-            if path == "/update":
-                if method != "POST":
-                    return 405, {"error": "use POST"}, _JSON
-                return await self._handle_update(body)
-            return 404, {"error": f"unknown path {path}"}, _JSON
-        except (ServiceOverloadedError, DeadlineExceededError) as exc:
-            return 503, {
-                "error": str(exc),
-                "kind": type(exc).__name__,
-            }, _JSON
-        except (SubgraphError, GraphError, DatasetError, ValueError) as exc:
-            return 400, {
-                "error": str(exc),
-                "kind": type(exc).__name__,
-            }, _JSON
-        except ReproError as exc:
-            return 500, {
-                "error": str(exc),
-                "kind": type(exc).__name__,
-            }, _JSON
-        except Exception as exc:  # noqa: BLE001 — last-resort 500
-            return 500, {
-                "error": f"internal error: {exc}",
-                "kind": type(exc).__name__,
-            }, _JSON
+            return await self._forward(route, request)
+        finally:
+            self._inflight -= 1
+            self._registry.histogram(
+                "repro_cluster_forward_seconds",
+                "End-to-end routed request latency (including "
+                "retries and failover).",
+                buckets=SECONDS_BUCKETS,
+                endpoint=request.path,
+            ).observe(time.perf_counter() - started)
+
+    async def _healthz(self, request: Request):
+        return 200, self.cluster_health()
 
     def _count_outcome(self, endpoint: str, outcome: str) -> None:
         self._registry.counter(
@@ -492,53 +435,15 @@ class ShardRouter(RankingServer):
             return self._manager.settings.damping
         return float(damping)
 
-    async def _forward_ranked(
-        self, path: str, body: bytes, headers: dict[str, str]
-    ):
-        if self._inflight >= self._max_inflight:
-            self._count_outcome(path, "shed")
-            raise ServiceOverloadedError(
-                f"router at max inflight ({self._max_inflight}); "
-                "retry later"
-            )
-        self._inflight += 1
-        started = time.perf_counter()
-        try:
-            return await self._forward_inner(path, body, headers)
-        finally:
-            self._inflight -= 1
-            self._registry.histogram(
-                "repro_cluster_forward_seconds",
-                "End-to-end routed request latency (including "
-                "retries and failover).",
-                buckets=SECONDS_BUCKETS,
-                endpoint=path,
-            ).observe(time.perf_counter() - started)
-
-    async def _forward_inner(
-        self, path: str, body: bytes, headers: dict[str, str]
-    ):
-        request = self._parse_json(body)
-        damping = self._resolve_damping(request.get("damping"))
-        # The connection handler strips the query string into a
-        # pseudo-header; put it back on the forwarded target or the
-        # replica never sees ?estimator= (and friends).
-        query = headers.get(_QUERY_PSEUDO_HEADER, "")
-        forward_path = path + "?" + query if query else path
-        if path == "/semantic-search":
-            # No node set in the body — the replica derives G_l from
-            # the query.  Placement uses the query-terms digest (the
-            # semantic analogue of the subgraph digest), so a hot
-            # query always warms the same shard's selection and
-            # score caches.
-            terms = self._require_terms(request)
-            local = None
-            shard = self.ring.shard_for(_terms_digest(terms))
-        else:
-            nodes = self._require_nodes(request)
-            local = np.unique(np.asarray(nodes, dtype=np.int64))
-            shard = self.ring.shard_for(subgraph_digest(local))
-        deadline = self._effective_deadline(request, headers)
+    async def _forward(self, route: Route, request: Request):
+        path = request.path
+        # /rank is the one route whose answers the router's store can
+        # keep, and replay flagged degraded when a whole shard is dark.
+        degradable = path == "/rank"
+        damping = self._resolve_damping(request.body.get("damping"))
+        shard = self.ring.shard_for(route.placement(request))
+        target = f"{path}?{request.query}" if request.query else path
+        deadline = request.deadline
         if deadline is None:
             deadline = self._default_deadline
         start = time.monotonic()
@@ -583,8 +488,8 @@ class ShardRouter(RankingServer):
                 response = await http_request(
                     *state.handle.address,
                     "POST",
-                    forward_path,
-                    body=body,
+                    target,
+                    body=request.raw_body,
                     headers=forward_headers,
                     timeout=timeout,
                 )
@@ -613,14 +518,11 @@ class ShardRouter(RankingServer):
                 if not isinstance(payload, dict):
                     payload = {}
                 replica_fp = payload.get("graph_fingerprint")
-                if (
-                    path in ("/rank", "/semantic-search")
-                    and replica_fp is not None
-                    and replica_fp != self._fingerprint
-                ):
-                    # The replica answered from a different graph —
-                    # correct bytes for the wrong operator.  Retryable:
-                    # the prober re-admits it once it catches up.
+                if replica_fp != self._fingerprint:
+                    # The replica answered from a different graph (or
+                    # did not say which) — correct bytes for the wrong
+                    # operator.  Retryable: the prober re-admits it
+                    # once it catches up.
                     state.synced = False
                     state.breaker.record_failure()
                     self._count_retry("GraphFingerprintMismatch")
@@ -634,12 +536,12 @@ class ShardRouter(RankingServer):
                     ))
                     continue
                 state.breaker.record_success()
-                if path == "/rank":
+                if degradable:
                     self._remember(payload, damping)
                 self._count_outcome(
                     path, "stale" if payload.get("stale") else "ok"
                 )
-                return 200, payload, _JSON
+                return 200, payload
 
             decision = classify_http_status(response.status)
             if not decision.retryable:
@@ -648,7 +550,7 @@ class ShardRouter(RankingServer):
                 # verbatim — replaying it elsewhere replays the bug.
                 state.breaker.record_success()
                 self._count_outcome(path, "fatal")
-                return response.status, response.json(), _JSON
+                return response.status, response.json()
             state.breaker.record_failure()
             self._count_retry(f"http_{response.status}")
             attempts.append(self._attempt(
@@ -663,24 +565,19 @@ class ShardRouter(RankingServer):
                 start=start,
             ))
             if not last:
-                pause = policy.backoff(attempt)
-                retry_after = response.headers.get("retry-after")
-                if retry_after:
-                    try:
-                        pause = max(
-                            pause,
-                            min(
-                                float(retry_after),
-                                policy.backoff_max,
-                            ),
-                        )
-                    except ValueError:
-                        pass
-                await self._pause(pause, deadline_at)
+                await self._pause(
+                    policy.retry_pause(
+                        attempt, response.headers.get("retry-after")
+                    ),
+                    deadline_at,
+                )
 
-        return self._degraded_answer(
-            path, local, damping, shard, attempts
+        hit = (
+            self._store.lookup(self._graph, request.nodes(), damping)
+            if degradable
+            else None
         )
+        return self._degraded_answer(path, hit, shard, attempts)
 
     def _attempt(
         self,
@@ -740,28 +637,12 @@ class ShardRouter(RankingServer):
         dark.
         """
         try:
-            extras = {}
-            if "lambda_score" in payload:
-                extras["lambda_score"] = payload["lambda_score"]
-            scores = SubgraphScores(
-                local_nodes=np.asarray(
-                    payload["nodes"], dtype=np.int64
-                ),
-                scores=np.asarray(
-                    payload["scores"], dtype=np.float64
-                ),
-                method=payload["method"],
-                iterations=int(payload["iterations"]),
-                residual=float(payload["residual"]),
-                converged=bool(payload["converged"]),
-                runtime_seconds=float(payload["runtime_seconds"]),
-                extras=extras,
-            )
+            scores = scores_from_payload(payload)
         except (KeyError, TypeError, ValueError):
             return
         self._store.put(
             self._graph,
-            np.asarray(scores.local_nodes),
+            scores.local_nodes,
             damping,
             scores,
             stale=bool(payload.get("stale")),
@@ -771,32 +652,32 @@ class ShardRouter(RankingServer):
     def _degraded_answer(
         self,
         path: str,
-        local: np.ndarray,
-        damping: float,
+        hit: StoreHit | None,
         shard: int,
         attempts: list[AttemptRecord],
     ):
-        if path == "/rank":
-            hit = self._store.lookup(self._graph, local, damping)
-            if hit is not None:
-                payload = _scores_payload(
-                    hit.scores,
-                    cache_hit=True,
-                    stale=hit.stale,
-                    staleness=hit.staleness,
-                )
-                payload["degraded"] = True
-                payload["graph_fingerprint"] = self._fingerprint
-                self._count_outcome(path, "degraded")
-                log.warning(
-                    "shard %d unavailable; served last-known scores "
-                    "(stale=%s, staleness=%.3g) after %d attempt(s)",
-                    shard,
-                    hit.stale,
-                    hit.staleness,
-                    len(attempts),
-                )
-                return 200, payload, _JSON
+        """Last-known scores flagged ``degraded``, or an honest 503."""
+        if hit is not None:
+            outcome = RankOutcome(
+                hit.scores,
+                cache_hit=True,
+                stale=hit.stale,
+                staleness=hit.staleness,
+            )
+            payload = ranked_payload(
+                scores_fields(hit.scores), outcome, self._fingerprint
+            )
+            payload["degraded"] = True
+            self._count_outcome(path, "degraded")
+            log.warning(
+                "shard %d unavailable; served last-known scores "
+                "(stale=%s, staleness=%.3g) after %d attempt(s)",
+                shard,
+                hit.stale,
+                hit.staleness,
+                len(attempts),
+            )
+            return 200, payload
         self._count_outcome(path, "unavailable")
         return 503, {
             "error": (
@@ -806,15 +687,17 @@ class ShardRouter(RankingServer):
             "kind": "ShardUnavailableError",
             "shard": shard,
             "attempts": [record.describe() for record in attempts],
-        }, _JSON
+        }
 
     # ------------------------------------------------------------------
     # Cluster-wide updates
     # ------------------------------------------------------------------
 
-    async def _handle_update(self, body: bytes):
-        request = self._parse_json(body)
-        delta = GraphDelta.from_payload(request.get("delta", request))
+    async def _update(self, request: Request):
+        """Apply the delta here, then fan it out to every replica."""
+        delta = GraphDelta.from_payload(
+            request.body.get("delta", request.body)
+        )
         loop = asyncio.get_running_loop()
         async with self._update_lock:
             old_graph = self._graph
@@ -838,7 +721,7 @@ class ShardRouter(RankingServer):
                 state.synced = False
             results = await asyncio.gather(
                 *(
-                    self._push_update(state, body)
+                    self._push_update(state, request.raw_body)
                     for state in self._states.values()
                 ),
                 return_exceptions=True,
@@ -855,7 +738,7 @@ class ShardRouter(RankingServer):
                 "migrated": report.migrated,
                 "staleness_charge": report.staleness_charge,
             },
-        }, _JSON
+        }
 
     async def _push_update(
         self, state: _ReplicaState, body: bytes

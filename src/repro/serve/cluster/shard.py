@@ -4,16 +4,13 @@ A shard worker is a full :class:`~repro.serve.server.RankingServer` —
 it holds the **whole global graph**, so every answer it produces is
 bit-identical to the offline solve (the cluster shards the *request
 keyspace* for cache affinity, never the graph; see
-:mod:`repro.serve.cluster`).  On top of the base server it adds:
-
-* ``POST /update`` — apply a wire-shipped
-  :class:`~repro.updates.delta.GraphDelta` and swap the served graph,
-  so the router can fan one update out to every replica;
-* the **serve-path fault injection sites** — each request is an
-  opportunity for the armed :mod:`repro.resilience.faults` kinds
-  (``kill_shard``, ``slow_shard``, ``drop_conn``, ``flap_health``),
-  keyed by this worker's site name so each replica replays its own
-  deterministic schedule.
+:mod:`repro.serve.cluster`).  On top of the base server it adds only
+the **serve-path fault injection sites**: every ranked route of
+:data:`~repro.serve.server.ROUTES` (and ``/healthz``, for
+``flap_health``) is an opportunity for the armed
+:mod:`repro.resilience.faults` kinds (``kill_shard``, ``slow_shard``,
+``drop_conn``, ``flap_health``), keyed by this worker's site name so
+each replica replays its own deterministic schedule.
 
 Faults only ever *remove* behaviour (a missing response, a late
 response, a failing health check) — they never alter score bytes, so
@@ -29,10 +26,8 @@ import logging
 import os
 import signal
 
-from repro.exceptions import GraphError, ReproError
 from repro.resilience.faults import serve_fault_fires
-from repro.serve.server import RankingServer, _JSON
-from repro.updates.delta import GraphDelta
+from repro.serve.server import RankingServer, Request, Route
 
 __all__ = ["ShardServer"]
 
@@ -67,10 +62,6 @@ class ShardServer(RankingServer):
         crash is simulated by dropping the listening socket and every
         open connection.
     """
-
-    ENDPOINTS: tuple[str, ...] = (
-        "/rank", "/search", "/healthz", "/metrics", "/update"
-    )
 
     def __init__(
         self,
@@ -122,17 +113,11 @@ class ShardServer(RankingServer):
                 task.cancel()
 
     # ------------------------------------------------------------------
-    # Routing (fault sites + /update)
+    # Fault sites
     # ------------------------------------------------------------------
 
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        headers: dict[str, str] | None = None,
-    ):
-        if path in ("/rank", "/search"):
+    async def _answer(self, route: Route, request: Request):
+        if route.ranked:
             # Injection sites: each ranked request is one opportunity
             # per kind, in a fixed order so the per-site schedule is
             # reproducible.
@@ -144,42 +129,14 @@ class ShardServer(RankingServer):
                 await asyncio.sleep(spec.delay)
             if serve_fault_fires("drop_conn", self._site) is not None:
                 raise _DropConnectionSignal("injected drop_conn")
-        elif path == "/healthz":
-            if serve_fault_fires("flap_health", self._site) is not None:
-                return 503, {
-                    "status": "failing",
-                    "error": "injected health flap",
-                    "shard": self.shard_id,
-                    "replica": self.replica_index,
-                }, _JSON
-        elif path == "/update":
-            return await self._handle_update(method, body)
-        return await super()._route(method, path, body, headers)
+        return await super()._answer(route, request)
 
-    async def _handle_update(self, method: str, body: bytes):
-        if method != "POST":
-            return 405, {"error": "use POST"}, _JSON
-        try:
-            request = self._parse_json(body)
-            delta = GraphDelta.from_payload(
-                request.get("delta", request)
-            )
-            report = await self.service.apply_update(delta)
-        except (GraphError, ValueError) as exc:
-            return 400, {
-                "error": str(exc),
-                "kind": type(exc).__name__,
-            }, _JSON
-        except ReproError as exc:
-            return 500, {
-                "error": str(exc),
-                "kind": type(exc).__name__,
-            }, _JSON
-        return 200, {
-            "graph_fingerprint": self.service.fingerprint[:16],
-            "graph_nodes": self.service.graph.num_nodes,
-            "graph_edges": self.service.graph.num_edges,
-            "stale_entries": report.stale,
-            "evicted": report.evicted,
-            "staleness_charge": report.staleness_charge,
-        }, _JSON
+    async def _healthz(self, request: Request):
+        if serve_fault_fires("flap_health", self._site) is not None:
+            return 503, {
+                "status": "failing",
+                "error": "injected health flap",
+                "shard": self.shard_id,
+                "replica": self.replica_index,
+            }
+        return await super()._healthz(request)

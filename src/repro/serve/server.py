@@ -17,16 +17,17 @@ layers:
   same-subgraph bursts with distinct dampings take the batched
   multi-column kernel.
 * :class:`RankingServer` — a dependency-free asyncio HTTP/1.1 server
-  exposing ``POST /rank``, ``POST /search``, ``POST
-  /semantic-search`` (query→select→rank→dedup, see
-  :mod:`repro.semantic`), ``GET /healthz`` and ``GET /metrics``
-  (Prometheus text), with keep-alive connections and
-  a graceful shutdown that stops accepting, drains in-flight requests
-  and flushes the batcher.
+  over the :data:`ROUTES` table: ``POST /rank``, ``POST /search``,
+  ``POST /semantic-search`` (query→select→rank→dedup, see
+  :mod:`repro.semantic`), ``POST /update`` (apply a graph delta),
+  ``GET /healthz`` and ``GET /metrics`` (Prometheus text), with
+  keep-alive connections and a graceful shutdown that stops
+  accepting, drains in-flight requests and flushes the batcher.  The
+  shards and the router of :mod:`repro.serve.cluster` are subclasses
+  dispatching through the same table.
 
-Scores cross the wire as JSON floats.  Python's ``json`` emits
-``repr`` shortest-round-trip literals and parses them back to the
-identical IEEE-754 double, so bit-identity survives HTTP.
+Answers cross the wire through :mod:`repro.serve.wire`, which keeps
+scores bit-identical over HTTP.
 
 :func:`start_background_server` runs a server on a dedicated thread
 with its own event loop — the harness tests and the closed-loop
@@ -36,6 +37,7 @@ benchmark drive the real socket path through it.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import logging
 import threading
@@ -43,7 +45,7 @@ import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -80,12 +82,16 @@ from repro.semantic.pipeline import (
 )
 from repro.serve.batching import BatchPolicy, RankBatcher
 from repro.serve.store import ScoreStore, graph_fingerprint, subgraph_digest
+from repro.serve.wire import read_message, ranked_payload, scores_fields
 from repro.updates.delta import GraphDelta, apply_delta
 
 __all__ = [
     "RankingService",
     "RankingServer",
     "RankOutcome",
+    "Request",
+    "Route",
+    "ROUTES",
     "BackgroundServer",
     "start_background_server",
 ]
@@ -108,20 +114,10 @@ class RankOutcome:
 
 log = logging.getLogger(__name__)
 
-#: Largest request body accepted (a node list for a million-page
-#: subgraph fits comfortably; anything bigger is abuse).
-_MAX_BODY_BYTES = 64 * 1024 * 1024
-
 #: Deadline-propagation header: seconds of budget remaining at send
 #: time.  A hop that cannot finish inside it drops the work (503)
 #: instead of burning solver time on an answer nobody is waiting for.
 DEADLINE_HEADER = "X-Repro-Deadline"
-
-#: Internal pseudo-header carrying the raw request query string from
-#: the connection handler into ``_route`` — the cluster subclasses
-#: override ``_route`` with a fixed signature, so the query rides in
-#: the headers dict rather than a new parameter.
-_QUERY_PSEUDO_HEADER = "x-repro-query"
 
 _JSON = {"Content-Type": "application/json"}
 _TEXT = {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"}
@@ -799,98 +795,144 @@ class RankingService:
 # ----------------------------------------------------------------------
 
 
-def _scores_payload(
-    scores: SubgraphScores,
-    cache_hit: bool,
-    stale: bool = False,
-    staleness: float = 0.0,
-) -> dict:
-    payload = {
-        "nodes": scores.local_nodes.tolist(),
-        "scores": scores.scores.tolist(),
-        "method": scores.method,
-        "iterations": scores.iterations,
-        "residual": scores.residual,
-        "converged": scores.converged,
-        "runtime_seconds": scores.runtime_seconds,
-        "cache_hit": cache_hit,
-        # The serving contract: a result is either bit-identical to
-        # the offline solve on the current graph, or explicitly
-        # flagged stale with its Theorem-2 charge attached.
-        "stale": stale,
-        "staleness": staleness,
-    }
-    if "lambda_score" in scores.extras:
-        payload["lambda_score"] = scores.extras["lambda_score"]
-    if "warm_start" in scores.extras:
-        payload["warm_start"] = bool(scores.extras["warm_start"])
-        payload["iterations_saved"] = int(
-            scores.extras.get("iterations_saved", 0)
-        )
-    estimator = scores.extras.get("estimator")
-    if estimator is not None:
-        # Sublinear results are clearly flagged non-bit-identical and
-        # ship their certificate with the scores.
-        payload["estimator"] = str(estimator)
-        payload["estimated"] = estimator != "exact"
-        payload["error_bound"] = float(
-            scores.extras.get("error_bound", 0.0)
-        )
-        if "edges_touched" in scores.extras:
-            payload["edges_touched"] = int(
-                scores.extras["edges_touched"]
+@dataclass(frozen=True)
+class Request:
+    """One HTTP request as a route handler sees it.
+
+    ``body`` is the parsed JSON object and ``raw_body`` its bytes (the
+    router forwards those verbatim); ``query`` is the raw query
+    string, passed through dispatch so a forwarding hop can put it
+    back on the target.
+    """
+
+    path: str
+    query: str
+    headers: dict[str, str]
+    raw_body: bytes
+    body: dict
+
+    @property
+    def estimator(self) -> str | None:
+        """The opt-in estimator spec: ``?estimator=`` wins over the
+        body field.
+
+        The query splits on ``&`` and the *first* ``=`` only, so specs
+        — which embed ``=`` and ``,`` in their value — survive intact.
+        """
+        for part in self.query.split("&"):
+            key, sep, value = part.partition("=")
+            if sep and key == "estimator":
+                return urllib.parse.unquote(value)
+        return self.body.get("estimator")
+
+    @property
+    def deadline(self) -> float | None:
+        """The tighter of the body deadline and the propagated header.
+
+        The router stamps :data:`DEADLINE_HEADER` with the seconds of
+        budget remaining when it forwarded the request; queued work
+        that cannot finish inside the *end-to-end* budget is then
+        dropped by the batcher without spending solver time.
+        """
+        body_deadline = self.body.get("deadline_seconds")
+        header_value = self.headers.get(DEADLINE_HEADER.lower())
+        header_deadline: float | None = None
+        if header_value is not None:
+            try:
+                header_deadline = float(header_value)
+            except ValueError:
+                raise ValueError(
+                    f"malformed {DEADLINE_HEADER} header: "
+                    f"{header_value!r}"
+                )
+        if body_deadline is None:
+            return header_deadline
+        if header_deadline is None:
+            return float(body_deadline)
+        return min(float(body_deadline), header_deadline)
+
+    def nodes(self) -> list[int]:
+        nodes = self.body.get("nodes")
+        if not isinstance(nodes, list) or not nodes:
+            raise SubgraphError(
+                "'nodes' must be a non-empty list of page ids"
             )
+        return [int(node) for node in nodes]
+
+    def terms(self) -> list[int]:
+        terms = self.body.get("terms")
+        if not isinstance(terms, list) or not terms:
+            raise DatasetError(
+                "'terms' must be a non-empty list of term ids"
+            )
+        return [int(term) for term in terms]
+
+
+def _parse_json(body: bytes) -> dict:
+    try:
+        payload = json.loads(body.decode("utf-8") or "{}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"request body is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise ValueError("request body must be a JSON object")
     return payload
 
 
-def _search_meta(payload: dict, outcome: RankOutcome) -> dict:
-    """Attach rank-outcome accounting to a search-style payload."""
-    payload["cache_hit"] = outcome.cache_hit
-    payload["stale"] = outcome.stale
-    payload["staleness"] = outcome.staleness
-    extras = outcome.scores.extras
-    estimator = extras.get("estimator")
-    if estimator is not None:
-        payload["estimator"] = str(estimator)
-        payload["estimated"] = estimator != "exact"
-        payload["error_bound"] = float(
-            extras.get("error_bound", 0.0)
-        )
-    return payload
+def _error(exc: Exception, prefix: str = "") -> dict:
+    return {"error": f"{prefix}{exc}", "kind": type(exc).__name__}
 
 
-def _semantic_payload(
-    answer: SemanticAnswer, outcome: RankOutcome
-) -> dict:
-    payload = {
-        "hits": [
-            {
-                "page": hit.page,
-                "score": hit.score,
-                "rank": hit.rank,
-                "similarity": hit.similarity,
-                "cluster_size": hit.cluster_size,
-                "merged_score": hit.merged_score,
-            }
-            for hit in answer.hits
-        ],
-        "nodes": answer.local_nodes.tolist(),
-        "query_digest": answer.query_digest,
-        "estimator": answer.estimator,
-        "estimated": answer.estimated,
-        "error_bound": answer.error_bound,
-        "neighborhood_size": answer.neighborhood_size,
-        "candidates_pruned": answer.candidates_pruned,
-        "dedup_merges": answer.dedup_merges,
-        "clusters": answer.extras.get("clusters", []),
-        "cache_hit": outcome.cache_hit,
-        # Same serving contract as /rank: bit-identical to the
-        # offline pipeline, or explicitly flagged with a certified
-        # bound.
-        "stale": outcome.stale,
-        "staleness": outcome.staleness,
-    }
-    return payload
+def _subgraph_key(request: Request) -> str:
+    """Placement of a node-set query: its subgraph digest, so a hot
+    subgraph always warms the same shard's store."""
+    return subgraph_digest(request.nodes())
+
+
+def _terms_key(request: Request) -> str:
+    """Placement of a semantic query: a digest of its term set.
+
+    The full :func:`~repro.semantic.pipeline.semantic_query_digest`
+    needs the replica's embedding configuration, but placement only
+    needs *consistency*: same terms, same shard, warm selection cache.
+    """
+    canonical = json.dumps(sorted(set(request.terms())))
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+
+
+@dataclass(frozen=True)
+class Route:
+    """One endpoint: its method, the server method answering it, and
+    — for a *ranked* route — its placement key.
+
+    ``handler`` names a :class:`RankingServer` method so the router
+    and the shards override behaviour by overriding that method.  A
+    route is ranked exactly when it has a placement function: the
+    router forwards it to the shard the key hashes to, shards arm
+    their fault sites on it, and its answer carries the contract
+    fields of :func:`~repro.serve.wire.ranked_payload`.
+    """
+
+    method: str
+    handler: str
+    placement: Callable[[Request], str] | None = None
+
+    @property
+    def ranked(self) -> bool:
+        return self.placement is not None
+
+
+#: Every endpoint, declared once for the server, the shards and the
+#: router.  The keys are also the metrics ``endpoint`` labels; any
+#: other path is bucketed as "unknown" so a scan cannot explode
+#: cardinality.
+ROUTES: dict[str, Route] = {
+    "/rank": Route("POST", "_rank", _subgraph_key),
+    "/search": Route("POST", "_search", _subgraph_key),
+    "/semantic-search": Route("POST", "_semantic_search", _terms_key),
+    "/healthz": Route("GET", "_healthz"),
+    "/metrics": Route("GET", "_metrics"),
+    "/update": Route("POST", "_update"),
+}
 
 
 class RankingServer:
@@ -908,12 +950,6 @@ class RankingServer:
     registry:
         Metrics registry for request counters and latency histograms.
     """
-
-    #: Paths that get their own metrics label; everything else is
-    #: bucketed as "unknown" so a scan cannot explode cardinality.
-    ENDPOINTS: tuple[str, ...] = (
-        "/rank", "/search", "/semantic-search", "/healthz", "/metrics"
-    )
 
     def __init__(
         self,
@@ -1029,36 +1065,26 @@ class RankingServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> bool:
-        request_line = await reader.readline()
-        if not request_line:
-            return False
         try:
-            method, target, version = (
-                request_line.decode("latin-1").strip().split(" ", 2)
+            message = await read_message(reader)
+        except ValueError as exc:
+            # The head cannot be framed, so neither can the next
+            # request on this connection: answer, then close.
+            await self._respond(
+                writer, 400, {"error": str(exc)}, keep_alive=False
             )
+            return False
+        if message is None:
+            return False
+        request_line, headers, body = message
+        try:
+            method, target, version = request_line.split(" ", 2)
         except ValueError:
             await self._respond(
                 writer, 400, {"error": "malformed request line"},
-                endpoint="unknown", keep_alive=False,
+                keep_alive=False,
             )
             return False
-
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY_BYTES:
-            await self._respond(
-                writer, 400, {"error": "request body too large"},
-                endpoint="unknown", keep_alive=False,
-            )
-            return False
-        body = await reader.readexactly(length) if length else b""
 
         keep_alive = (
             headers.get("connection", "").lower() != "close"
@@ -1068,12 +1094,10 @@ class RankingServer:
 
         started = time.perf_counter()
         path, _, query = target.partition("?")
-        if query:
-            headers[_QUERY_PSEUDO_HEADER] = query
-        status, payload, content_type = await self._route(
-            method, path, body, headers
+        status, payload = await self._dispatch(
+            method, path, query, headers, body
         )
-        endpoint = path if path in self.ENDPOINTS else "unknown"
+        endpoint = path if path in ROUTES else "unknown"
         elapsed = time.perf_counter() - started
         self._registry.counter(
             "repro_serve_requests_total",
@@ -1087,123 +1111,38 @@ class RankingServer:
             buckets=SECONDS_BUCKETS,
             endpoint=endpoint,
         ).observe(elapsed)
-        await self._respond(
-            writer, status, payload,
-            endpoint=endpoint,
-            keep_alive=keep_alive,
-            content_type=content_type,
-        )
+        await self._respond(writer, status, payload, keep_alive=keep_alive)
         return keep_alive
 
-    async def _route(
+    async def _dispatch(
         self,
         method: str,
         path: str,
+        query: str,
+        headers: dict[str, str],
         body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> tuple[int, Any, dict]:
-        """Dispatch one request; returns (status, payload, headers)."""
-        headers = headers or {}
+    ) -> tuple[int, Any]:
+        """Route one request; returns ``(status, payload)``.
+
+        This is the one place an exception becomes a status: overload
+        and missed deadlines are 503s, invalid input is a 400, and
+        anything else is a 500.
+        """
+        route = ROUTES.get(path)
+        if route is None:
+            return 404, {"error": f"unknown path {path}"}
+        if method != route.method:
+            return 405, {"error": f"use {route.method}"}
         try:
-            if path == "/healthz":
-                if method != "GET":
-                    return 405, {"error": "use GET"}, _JSON
-                return 200, self.service.health(), _JSON
-            if path == "/metrics":
-                if method != "GET":
-                    return 405, {"error": "use GET"}, _JSON
-                text = to_prometheus_text(self._registry.snapshot())
-                return 200, text, _TEXT
-            if path == "/rank":
-                if method != "POST":
-                    return 405, {"error": "use POST"}, _JSON
-                request = self._parse_json(body)
-                # The opt-in estimator: `/rank?estimator=push:r_max=1e-3`
-                # (query form wins) or an "estimator" body field.
-                estimator = self._query_param(headers, "estimator")
-                if estimator is None:
-                    estimator = request.get("estimator")
-                outcome = await self.service.rank_with_meta(
-                    self._require_nodes(request),
-                    damping=request.get("damping"),
-                    deadline_seconds=self._effective_deadline(
-                        request, headers
-                    ),
-                    estimator=estimator,
-                )
-                payload = _scores_payload(
-                    outcome.scores,
-                    outcome.cache_hit,
-                    stale=outcome.stale,
-                    staleness=outcome.staleness,
-                )
-                # The graph the answer was computed on; a router in
-                # front compares this against its own fingerprint to
-                # catch a replica still serving a pre-update graph.
-                payload["graph_fingerprint"] = (
-                    self.service.fingerprint[:16]
-                )
-                return 200, payload, _JSON
-            if path == "/search":
-                if method != "POST":
-                    return 405, {"error": "use POST"}, _JSON
-                request = self._parse_json(body)
-                terms = self._require_terms(request)
-                # Same estimator plumbing as /rank: the query form
-                # wins over the body field, bogus specs are 400s.
-                estimator = self._query_param(headers, "estimator")
-                if estimator is None:
-                    estimator = request.get("estimator")
-                hits, outcome = await self.service.search(
-                    self._require_nodes(request),
-                    terms=terms,
-                    k=int(request.get("k", 10)),
-                    mode=str(request.get("mode", "all")),
-                    damping=request.get("damping"),
-                    deadline_seconds=self._effective_deadline(
-                        request, headers
-                    ),
-                    estimator=estimator,
-                )
-                payload = _search_meta({
-                    "hits": [
-                        {
-                            "page": hit.page,
-                            "score": hit.score,
-                            "rank": hit.rank,
-                        }
-                        for hit in hits
-                    ],
-                }, outcome)
-                return 200, payload, _JSON
-            if path == "/semantic-search":
-                if method != "POST":
-                    return 405, {"error": "use POST"}, _JSON
-                request = self._parse_json(body)
-                terms = self._require_terms(request)
-                estimator = self._query_param(headers, "estimator")
-                if estimator is None:
-                    estimator = request.get("estimator")
-                answer, outcome = await self.service.semantic_search(
-                    terms=terms,
-                    k=int(request.get("k", 10)),
-                    estimator=estimator,
-                    damping=request.get("damping"),
-                    deadline_seconds=self._effective_deadline(
-                        request, headers
-                    ),
-                )
-                payload = _semantic_payload(answer, outcome)
-                payload["graph_fingerprint"] = (
-                    self.service.fingerprint[:16]
-                )
-                return 200, payload, _JSON
-            return 404, {"error": f"unknown path {path}"}, _JSON
+            request = Request(
+                path, query, headers, body, _parse_json(body)
+            )
+            return await self._answer(route, request)
+        except ConnectionResetError:
+            # A shard's injected connection drop: no status at all.
+            raise
         except (ServiceOverloadedError, DeadlineExceededError) as exc:
-            return 503, {
-                "error": str(exc),
-                "kind": type(exc).__name__,
-            }, _JSON
+            return 503, _error(exc)
         except (
             SubgraphError,
             GraphError,
@@ -1211,111 +1150,123 @@ class RankingServer:
             EstimationError,
             ValueError,
         ) as exc:
-            return 400, {
-                "error": str(exc),
-                "kind": type(exc).__name__,
-            }, _JSON
+            return 400, _error(exc)
         except ReproError as exc:
-            return 500, {
-                "error": str(exc),
-                "kind": type(exc).__name__,
-            }, _JSON
+            return 500, _error(exc)
         except Exception as exc:  # noqa: BLE001 — last-resort 500
-            return 500, {
-                "error": f"internal error: {exc}",
-                "kind": type(exc).__name__,
-            }, _JSON
+            return 500, _error(exc, "internal error: ")
 
-    @staticmethod
-    def _effective_deadline(
-        request: dict, headers: dict[str, str]
-    ) -> float | None:
-        """The tighter of the body deadline and the propagated header.
+    async def _answer(self, route: Route, request: Request):
+        """Run the route's handler; the cluster servers hook in here."""
+        return await getattr(self, route.handler)(request)
 
-        The router stamps :data:`DEADLINE_HEADER` with the seconds of
-        budget remaining when it forwarded the request; queued work
-        that cannot finish inside the *end-to-end* budget is then
-        dropped by the batcher without spending solver time.
-        """
-        body_deadline = request.get("deadline_seconds")
-        header_value = headers.get(DEADLINE_HEADER.lower())
-        header_deadline: float | None = None
-        if header_value is not None:
-            try:
-                header_deadline = float(header_value)
-            except ValueError:
-                raise ValueError(
-                    f"malformed {DEADLINE_HEADER} header: "
-                    f"{header_value!r}"
-                )
-        if body_deadline is None:
-            return header_deadline
-        if header_deadline is None:
-            return float(body_deadline)
-        return min(float(body_deadline), header_deadline)
+    def _ranked(self, fields: dict, outcome: RankOutcome):
+        return 200, ranked_payload(
+            fields, outcome, self.service.fingerprint[:16]
+        )
 
-    @staticmethod
-    def _query_param(
-        headers: dict[str, str], name: str
-    ) -> str | None:
-        """One query-string parameter, from the pseudo-header.
+    # ------------------------------------------------------------------
+    # Route handlers (named by ROUTES)
+    # ------------------------------------------------------------------
 
-        Splits on ``&`` and the *first* ``=`` only, so estimator specs
-        — which embed ``=`` and ``,`` in their value — survive intact.
-        """
-        query = headers.get(_QUERY_PSEUDO_HEADER, "")
-        for part in query.split("&"):
-            key, sep, value = part.partition("=")
-            if sep and key == name:
-                return urllib.parse.unquote(value)
-        return None
+    async def _rank(self, request: Request):
+        outcome = await self.service.rank_with_meta(
+            request.nodes(),
+            damping=request.body.get("damping"),
+            deadline_seconds=request.deadline,
+            estimator=request.estimator,
+        )
+        return self._ranked(scores_fields(outcome.scores), outcome)
 
-    @staticmethod
-    def _parse_json(body: bytes) -> dict:
-        try:
-            payload = json.loads(body.decode("utf-8") or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
+    async def _search(self, request: Request):
+        terms = request.terms()
+        hits, outcome = await self.service.search(
+            request.nodes(),
+            terms=terms,
+            k=int(request.body.get("k", 10)),
+            mode=str(request.body.get("mode", "all")),
+            damping=request.body.get("damping"),
+            deadline_seconds=request.deadline,
+            estimator=request.estimator,
+        )
+        return self._ranked({
+            "hits": [
+                {"page": hit.page, "score": hit.score, "rank": hit.rank}
+                for hit in hits
+            ],
+        }, outcome)
 
-    @staticmethod
-    def _require_nodes(request: dict) -> list[int]:
-        nodes = request.get("nodes")
-        if not isinstance(nodes, list) or not nodes:
-            raise SubgraphError(
-                "'nodes' must be a non-empty list of page ids"
-            )
-        return [int(node) for node in nodes]
+    async def _semantic_search(self, request: Request):
+        answer, outcome = await self.service.semantic_search(
+            terms=request.terms(),
+            k=int(request.body.get("k", 10)),
+            estimator=request.estimator,
+            damping=request.body.get("damping"),
+            deadline_seconds=request.deadline,
+        )
+        # The answer's own certificate fields are present on the exact
+        # path too, as in the offline SemanticPipeline.run answer.
+        return self._ranked({
+            "hits": [
+                {
+                    "page": hit.page,
+                    "score": hit.score,
+                    "rank": hit.rank,
+                    "similarity": hit.similarity,
+                    "cluster_size": hit.cluster_size,
+                    "merged_score": hit.merged_score,
+                }
+                for hit in answer.hits
+            ],
+            "nodes": answer.local_nodes.tolist(),
+            "query_digest": answer.query_digest,
+            "estimator": answer.estimator,
+            "estimated": answer.estimated,
+            "error_bound": answer.error_bound,
+            "neighborhood_size": answer.neighborhood_size,
+            "candidates_pruned": answer.candidates_pruned,
+            "dedup_merges": answer.dedup_merges,
+            "clusters": answer.extras.get("clusters", []),
+        }, outcome)
 
-    @staticmethod
-    def _require_terms(request: dict) -> list[int]:
-        terms = request.get("terms")
-        if not isinstance(terms, list) or not terms:
-            raise DatasetError(
-                "'terms' must be a non-empty list of term ids"
-            )
-        return [int(term) for term in terms]
+    async def _healthz(self, request: Request):
+        return 200, self.service.health()
+
+    async def _metrics(self, request: Request):
+        return 200, to_prometheus_text(self._registry.snapshot())
+
+    async def _update(self, request: Request):
+        """Apply a wire-shipped :class:`GraphDelta` and swap the graph."""
+        delta = GraphDelta.from_payload(
+            request.body.get("delta", request.body)
+        )
+        report = await self.service.apply_update(delta)
+        return 200, {
+            "graph_fingerprint": self.service.fingerprint[:16],
+            "graph_nodes": self.service.graph.num_nodes,
+            "graph_edges": self.service.graph.num_edges,
+            "stale_entries": report.stale,
+            "evicted": report.evicted,
+            "staleness_charge": report.staleness_charge,
+        }
 
     async def _respond(
         self,
         writer: asyncio.StreamWriter,
         status: int,
         payload: Any,
-        endpoint: str,
         keep_alive: bool,
-        content_type: dict | None = None,
     ) -> None:
         reasons = {
             200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 500: "Internal Server Error",
             503: "Service Unavailable",
         }
-        headers = dict(content_type or _JSON)
         if isinstance(payload, str):
+            headers = dict(_TEXT)
             body = payload.encode("utf-8")
         else:
+            headers = dict(_JSON)
             body = (json.dumps(payload) + "\n").encode("utf-8")
         headers["Content-Length"] = str(len(body))
         headers["Connection"] = "keep-alive" if keep_alive else "close"

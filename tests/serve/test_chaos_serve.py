@@ -1,21 +1,24 @@
 """Serve-path chaos matrix: the cluster's contract under injected faults.
 
-Each scenario arms one (or all) of the serve-path fault kinds from
-:mod:`repro.resilience.faults` — ``kill_shard``, ``slow_shard``,
+Each cell pairs one ranked route of the route table with one
+scenario.  A scenario arms one (or all) of the serve-path fault kinds
+from :mod:`repro.resilience.faults` — ``kill_shard``, ``slow_shard``,
 ``drop_conn``, ``flap_health`` — against a real 2×2 thread-placement
-cluster, then hammers the router and asserts the serving contract on
-**every** response:
+cluster, then hammers the router on that route and asserts the
+serving contract on **every** response:
 
-* a 200 is **bit-identical** to the offline
-  :func:`repro.core.approxrank.approxrank` solve (no updates happen
-  here, so even degraded answers must match), and any
-  stale/degraded answer is *flagged*, with staleness within the
-  store's Theorem-2 budget;
+* a 200 is **bit-identical** to the route's offline answer —
+  :func:`repro.core.approxrank.approxrank` for ``/rank``, the
+  :class:`~repro.search.engine.SubgraphSearchEngine` hits for
+  ``/search``, :meth:`~repro.semantic.pipeline.SemanticPipeline.run`
+  for ``/semantic-search`` (no updates happen here, so even degraded
+  answers must match), and any stale/degraded answer is *flagged*,
+  with staleness within the store's Theorem-2 budget;
 * the only permitted failure is an honest 503 (shard unavailable or
   load shed) carrying the recovery history.
 
-Never silently wrong: a payload with scores that differ from the
-offline fixed point fails the matrix outright.
+Never silently wrong: an answer that differs from the offline one
+fails the matrix outright.
 
 Fault decisions are deterministic — site-keyed seeded streams — so a
 red run replays exactly under the same spec.  Excluded from tier-1;
@@ -29,6 +32,9 @@ from repro.core.approxrank import approxrank
 from repro.exceptions import ServeRequestError
 from repro.generators.datasets import make_tiny_web
 from repro.pagerank.solver import PowerIterationSettings
+from repro.search.engine import SubgraphSearchEngine
+from repro.search.lexicon import SyntheticLexicon
+from repro.semantic.pipeline import SemanticPipeline
 from repro.resilience.faults import (
     FaultInjector,
     disarm_serve_faults,
@@ -38,6 +44,7 @@ from repro.resilience.faults import (
 from repro.resilience.policy import RetryPolicy
 from repro.serve.client import RankingClient
 from repro.serve.cluster import start_cluster
+from repro.serve.server import ROUTES
 
 pytestmark = [pytest.mark.serve, pytest.mark.chaos_serve]
 
@@ -59,6 +66,42 @@ SCENARIOS = {
 }
 
 
+#: Query terms per request: the /search terms (matched with mode
+#: "any") and the /semantic-search query.
+QUERIES = [[0, 1, 2], [3, 4], [5, 6, 7], [8, 9], [10, 11, 12], [13, 14]]
+K = 5
+
+#: The routes under test: every ranked route of the table, so a new
+#: ranked route joins the matrix (and needs a case below) by itself.
+RANKED = sorted(path for path, route in ROUTES.items() if route.ranked)
+
+#: Per ranked route: how to send request ``(nodes, terms)``, and the
+#: part of its answer the offline reference pins.
+CASES = {
+    "/rank": (
+        lambda client, nodes, terms: client.rank(nodes),
+        lambda payload: payload["scores"],
+    ),
+    "/search": (
+        lambda client, nodes, terms: client.search(
+            nodes, terms=terms, k=K, mode="any"
+        ),
+        lambda payload: [
+            (hit["page"], hit["score"], hit["rank"])
+            for hit in payload["hits"]
+        ],
+    ),
+    "/semantic-search": (
+        lambda client, nodes, terms: client.semantic_search(terms, k=K),
+        lambda payload: (
+            payload["nodes"],
+            payload["query_digest"],
+            [(hit["page"], hit["score"]) for hit in payload["hits"]],
+        ),
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def web():
     return make_tiny_web(num_pages=200, seed=17)
@@ -70,17 +113,43 @@ def subgraphs(web):
     return [
         np.unique(
             rng.choice(web.graph.num_nodes, size=16, replace=False)
-        ).astype(np.int64)
-        for __ in range(6)
+        ).astype(np.int64).tolist()
+        for __ in range(len(QUERIES))
     ]
 
 
 @pytest.fixture(scope="module")
 def offline(web, subgraphs):
-    return [
-        approxrank(web.graph, nodes, SETTINGS).scores
+    """Each route's offline answers: ``approxrank`` for /rank, the
+    search engine's hits for /search, ``SemanticPipeline.run`` for
+    /semantic-search — built the way a replica builds its own."""
+    lexicon = SyntheticLexicon(web.graph)
+    pipeline = SemanticPipeline(web.graph, lexicon, settings=SETTINGS)
+    ranks = [
+        approxrank(web.graph, np.asarray(nodes), SETTINGS)
         for nodes in subgraphs
     ]
+    answers = [pipeline.run(terms, k=K) for terms in QUERIES]
+    return {
+        "/rank": [scores.scores.tolist() for scores in ranks],
+        "/search": [
+            [
+                (hit.page, hit.score, hit.rank)
+                for hit in SubgraphSearchEngine(scores, lexicon).search(
+                    terms, k=K, mode="any"
+                )
+            ]
+            for scores, terms in zip(ranks, QUERIES)
+        ],
+        "/semantic-search": [
+            (
+                answer.local_nodes.tolist(),
+                answer.query_digest,
+                [(hit.page, hit.score) for hit in answer.hits],
+            )
+            for answer in answers
+        ],
+    }
 
 
 @pytest.fixture
@@ -96,12 +165,11 @@ def armed_faults(monkeypatch):
     set_injector(None)
 
 
-def _run_scenario(web, subgraphs, offline, budget_holder):
-    """Drive the router; classify every response against the contract.
-
-    Returns (outcome counts, violations).  ``budget_holder`` receives
-    the router store so the caller can check budgets post-hoc.
-    """
+def _run_scenario(web, path, subgraphs, expected):
+    """Drive one ranked route through the router; classify every
+    response against the contract.  Returns (outcome counts,
+    violations)."""
+    send, read = CASES[path]
     outcomes = {"fresh": 0, "flagged": 0, "unavailable": 0}
     violations: list[str] = []
     handle = start_cluster(
@@ -122,41 +190,37 @@ def _run_scenario(web, subgraphs, offline, budget_holder):
         breaker_reset=0.2,
     )
     try:
-        budget_holder.append(handle.router.store.staleness_budget)
         budget = handle.router.store.staleness_budget
         client = RankingClient(*handle.address, timeout=30.0)
         for __ in range(ROUNDS):
             for index, nodes in enumerate(subgraphs):
                 try:
-                    payload = client.rank(nodes.tolist())
+                    payload = send(client, nodes, QUERIES[index])
                 except ServeRequestError as exc:
                     if exc.status == 503:
                         # Honest refusal — carries the history.
                         outcomes["unavailable"] += 1
                         continue
                     violations.append(
-                        f"subgraph {index}: unexpected HTTP "
+                        f"request {index}: unexpected HTTP "
                         f"{exc.status}"
                     )
                     continue
-                scores = np.asarray(
-                    payload["scores"], dtype=np.float64
-                )
                 flagged = bool(
                     payload.get("stale") or payload.get("degraded")
                 )
-                if not np.array_equal(scores, offline[index]):
+                if read(payload) != expected[index]:
                     # No updates ran, so even a degraded (last-known)
-                    # answer must be the offline fixed point.
+                    # answer must be the offline one.
                     violations.append(
-                        f"subgraph {index}: silently wrong scores "
+                        f"request {index}: silently wrong answer "
                         f"(flagged={flagged})"
                     )
                 if flagged:
                     staleness = float(payload.get("staleness", 0.0))
                     if staleness > budget:
                         violations.append(
-                            f"subgraph {index}: served over budget "
+                            f"request {index}: served over budget "
                             f"({staleness} > {budget})"
                         )
                     outcomes["flagged"] += 1
@@ -167,17 +231,17 @@ def _run_scenario(web, subgraphs, offline, budget_holder):
     return outcomes, violations
 
 
+@pytest.mark.parametrize("path", RANKED)
 class TestChaosMatrix:
     @pytest.mark.parametrize(
         "name", sorted(SCENARIOS), ids=sorted(SCENARIOS)
     )
     def test_contract_holds_under_fault(
-        self, name, web, subgraphs, offline, armed_faults
+        self, path, name, web, subgraphs, offline, armed_faults
     ):
         armed_faults(SCENARIOS[name])
-        budget_holder: list[float] = []
         outcomes, violations = _run_scenario(
-            web, subgraphs, offline, budget_holder
+            web, path, subgraphs, offline[path]
         )
         assert violations == []
         total = sum(outcomes.values())
@@ -197,13 +261,12 @@ class TestChaosMatrix:
         assert fired >= 1, "no fault fired; scenario is vacuous"
 
     def test_no_faults_armed_is_all_fresh(
-        self, web, subgraphs, offline, monkeypatch
+        self, path, web, subgraphs, offline, monkeypatch
     ):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         set_injector(None)
-        budget_holder: list[float] = []
         outcomes, violations = _run_scenario(
-            web, subgraphs, offline, budget_holder
+            web, path, subgraphs, offline[path]
         )
         assert violations == []
         assert outcomes["fresh"] == ROUNDS * len(subgraphs)

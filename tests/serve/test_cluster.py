@@ -10,6 +10,7 @@ with a fake clock.  Client-side retries and the
 ``BackgroundServer.stop`` leak warning are pinned here too.
 """
 
+import asyncio
 import http.server
 import logging
 import socket
@@ -28,7 +29,7 @@ from repro.generators.datasets import make_tiny_web
 from repro.pagerank.solver import PowerIterationSettings
 from repro.resilience.policy import RetryPolicy
 from repro.serve.client import RankingClient
-from repro.serve.cluster import CircuitBreaker, start_cluster
+from repro.serve.cluster import CircuitBreaker, http_request, start_cluster
 from repro.serve.server import (
     BackgroundServer,
     RankingServer,
@@ -77,6 +78,19 @@ def _cluster(web, shards=2, replicas=1, **router_kwargs):
         manager_kwargs=manager_kwargs,
         **kwargs,
     )
+
+
+def _wait_for_refreshes(handle, timeout=10.0):
+    """Poll every replica's /healthz until its background warm
+    refresh after an update has drained (bounded wait)."""
+    deadline = time.monotonic() + timeout
+    for replica in handle.manager.all():
+        client = RankingClient(*replica.address)
+        while (
+            client.healthz()["updates"]["pending_refreshes"]
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.02)
 
 
 class TestCircuitBreaker:
@@ -158,8 +172,17 @@ class TestRoutedServing:
         assert not wire.extras.get("stale")
         assert not wire.extras.get("degraded")
 
-    def test_rank_payload_carries_fingerprint(self, client, cluster):
-        payload = client.rank(NODES)
+    @pytest.mark.parametrize(
+        "ask",
+        [
+            lambda client: client.rank(NODES),
+            lambda client: client.search(NODES, terms=[1, 2], k=3),
+            lambda client: client.semantic_search([0, 1, 2], k=3),
+        ],
+        ids=["rank", "search", "semantic-search"],
+    )
+    def test_rank_payload_carries_fingerprint(self, ask, client, cluster):
+        payload = ask(client)
         assert (
             payload["graph_fingerprint"]
             == cluster.router.fingerprint
@@ -284,6 +307,7 @@ class TestClusterUpdate:
             report = client.update(delta.to_payload())
             assert report["replicas_updated"] == 2
             assert report["graph_fingerprint"] != before
+            _wait_for_refreshes(handle)
             wire = client.rank_scores(NODES)
             offline_new = approxrank(
                 new_graph,
@@ -429,6 +453,38 @@ class TestClientRetries:
             client.rank([1])
         assert excinfo.value.status == 503
         assert _ScriptedHandler.hits == [503]
+
+
+class TestRouterClientFraming:
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_response_head_is_a_connection_reset(self, length):
+        # A raw socket replica answering with an unframeable head: the
+        # router's client must surface it like its other framing
+        # failures, as a retryable ConnectionResetError.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def reply() -> None:
+            conn, __ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: "
+                    + length.encode() + b"\r\n\r\n{}"
+                )
+
+        thread = threading.Thread(target=reply, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ConnectionResetError, match="malformed"):
+                asyncio.run(http_request(
+                    *listener.getsockname(), "GET", "/healthz",
+                    timeout=5.0,
+                ))
+        finally:
+            thread.join(timeout=5)
+            listener.close()
 
 
 class TestBackgroundServerStop:

@@ -9,6 +9,8 @@ the batcher's linger.
 """
 
 import asyncio
+import logging
+import socket
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +27,8 @@ from repro.search.lexicon import SyntheticLexicon
 from repro.serve.batching import BatchPolicy
 from repro.serve.client import RankingClient
 from repro.serve.server import RankingService, start_background_server
-from repro.updates.delta import GraphDelta
+from repro.serve.store import graph_fingerprint
+from repro.updates.delta import GraphDelta, apply_delta
 
 pytestmark = pytest.mark.serve
 
@@ -182,6 +185,36 @@ class TestErrorPaths:
             )
         assert info.value.status == 503
         assert info.value.payload["kind"] == "DeadlineExceededError"
+
+
+class TestFraming:
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400_then_close(
+        self, server, length, caplog
+    ):
+        with caplog.at_level(logging.ERROR):
+            with socket.create_connection(
+                server.address, timeout=5.0
+            ) as sock:
+                sock.sendall(
+                    b"POST /rank HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: " + length.encode()
+                    + b"\r\n\r\n"
+                )
+                response = b""
+                # Reading to EOF pins the close: a kept-alive socket
+                # would time out here instead.
+                while chunk := sock.recv(65536):
+                    response += chunk
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in response
+        assert b"Content-Length" in response.split(b"\r\n\r\n")[0]
+        # The head is answered, not raised out of the connection
+        # handler for asyncio to log.
+        assert not [
+            record for record in caplog.records
+            if "client_connected_cb" in record.getMessage()
+        ]
 
 
 class TestCoalescingOverHttp:
@@ -385,6 +418,57 @@ class TestUpdateInvalidation:
         assert updates["staleness_spent"] > 0
         assert updates["pending_refreshes"] == 0
         assert updates["iterations_saved"] >= 0
+
+
+class TestUpdateEndpoint:
+    """``POST /update`` on a single-node server (not only a cluster)."""
+
+    def test_update_then_rank_is_fresh_or_flagged(self, web):
+        delta = GraphDelta(added_edges=[(0, 5), (5, 12), (12, 0)])
+        new_graph = apply_delta(web.graph, delta)
+        service = RankingService(
+            web.graph, settings=SETTINGS, registry=MetricsRegistry()
+        )
+        with start_background_server(service) as handle:
+            client = RankingClient(*handle.address)
+            client.rank(NODES)  # a warm entry the update must charge
+            report = client.update(delta.to_payload())
+            wire = client.rank_scores(NODES)
+        assert report["graph_fingerprint"] == (
+            graph_fingerprint(new_graph)[:16]
+        )
+        assert report["graph_nodes"] == new_graph.num_nodes
+        expected = approxrank(
+            new_graph, np.asarray(NODES, dtype=np.int64), SETTINGS
+        )
+        if wire.extras.get("stale"):
+            assert 0.0 < wire.extras["staleness"]
+            assert wire.extras["staleness"] <= (
+                service.store.staleness_budget
+            )
+            # The reference is itself a truncated solve: allow it its
+            # own truncation slack.
+            slack = (expected.residual + SETTINGS.tolerance) / (
+                1.0 - SETTINGS.damping
+            )
+            error = float(np.abs(wire.scores - expected.scores).sum())
+            assert error <= wire.extras["staleness"] + slack
+        else:
+            assert np.array_equal(wire.scores, expected.scores)
+
+    def test_bogus_delta_is_400(self, client, web):
+        missing = next(
+            t for t in range(web.graph.num_nodes)
+            if t not in set(web.graph.out_neighbors(0).tolist())
+        )
+        for bogus in (
+            GraphDelta(removed_edges=((0, missing),)).to_payload(),
+            {"added_edges": "not a list"},
+        ):
+            with pytest.raises(ServeRequestError) as info:
+                client.update(bogus)
+            assert info.value.status == 400
+        assert client.healthz()["updates"]["applied"] == 0
 
 
 class TestGracefulShutdown:
