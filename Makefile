@@ -66,11 +66,12 @@ update-smoke:
 	$(PYTHON) -m pytest -q -m updates tests/updates
 	$(PYTHON) -m pytest -q tests/serve/test_server.py -k Update
 
-# Estimation smoke: the tier-1 estimator suite (protocol, exact
-# bit-identity pin, Monte Carlo certificates + determinism matrix,
-# push invariants, serve/store integration).
+# Estimation smoke: the tier-1 estimator suite (protocol and spec
+# parsing, exact bit-identity pin, push certificates and invariants,
+# persist round trip, serve integration, and the composed
+# estimate-plus-update-charges certificate in the score store).
 estimate-smoke:
-	$(PYTHON) -m pytest -q -m "estimation and not tier2" tests/estimation tests/serve/test_estimator_serve.py
+	$(PYTHON) -m pytest -q -m "estimation and not tier2" tests/estimation tests/serve/test_estimator_serve.py tests/serve/test_store.py
 
 # Full benchmark; writes BENCH_solver.json at the repo root.
 bench-kernels:

@@ -2,8 +2,8 @@
 """Benchmark the sublinear estimators and emit ``BENCH_estimate.json``.
 
 Ranks one BFS subgraph of the AU-like web with the exact solver (the
-baseline), then sweeps Monte Carlo walk budgets and local-push
-residual thresholds, recording the error-vs-time Pareto frontier.
+baseline), then sweeps local-push residual thresholds, recording the
+error-vs-time Pareto frontier.
 Two never-waived clauses gate the record: every sweep point's measured
 error must sit under its certified bound (accuracy), and the cheapest
 point reaching the target accuracy must touch fewer edges than one
@@ -33,8 +33,8 @@ from repro.estimation.bench import (
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "Benchmark Monte Carlo and local-push estimation against "
-            "the exact ApproxRank solver (error-vs-time Pareto sweep)."
+            "Benchmark local-push estimation against the exact "
+            "ApproxRank solver (error-vs-time Pareto sweep)."
         )
     )
     parser.add_argument(

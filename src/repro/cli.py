@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimator", type=str, default=None, metavar="SPEC",
         help=(
             "('serve'/'query') rank with a sublinear estimator "
-            "instead of the exact solver, e.g. 'montecarlo', "
-            "'montecarlo:walks=200000,seed=7', 'push:r_max=1e-4'; "
+            "instead of the exact solver: 'exact' or "
+            "'push[:r_max=<float>]', e.g. 'push:r_max=1e-4'; "
             "for 'serve' this sets the server's default engine, for "
             "'query' it is sent as /rank?estimator=; estimated "
             "responses are flagged with their certified error bound"
@@ -744,7 +744,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.experiment == "bench-estimation":
         # Sublinear-estimator benchmark: error-vs-time Pareto sweep
-        # of Monte Carlo and local-push against the exact solver;
+        # of local-push against the exact solver;
         # --fast maps to smoke mode (small workload + hard gate).
         from repro.estimation.bench import (
             format_estimation_summary,

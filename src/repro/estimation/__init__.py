@@ -1,11 +1,11 @@
-"""Sublinear rank estimation: Monte Carlo walks and residual push.
+"""Sublinear rank estimation: residual push beside the exact solver.
 
 A second algorithm family beside the exact power-iteration solver.
-All implementations satisfy the :class:`~repro.estimation.base.\
-RankEstimator` protocol — ``SubgraphScores`` out, with a certified
+Both implementations satisfy the :class:`~repro.estimation.base.\
+RankEstimator` protocol — ``SubgraphScores`` out, with a certified L1
 ``error_bound`` and honest ``edges_touched`` accounting in ``extras``
-— and are addressable by spec string (``"montecarlo:walks=20000"``)
-through :func:`~repro.estimation.base.resolve_estimator`.
+— and are addressable by spec string (``"push:r_max=1e-3"``) through
+:func:`~repro.estimation.base.resolve_estimator`.
 
 >>> from repro.estimation import resolve_estimator
 >>> est = resolve_estimator("push:r_max=1e-3")
@@ -15,37 +15,19 @@ through :func:`~repro.estimation.base.resolve_estimator`.
 
 from repro.estimation.base import (
     ERROR_BOUND_BUCKETS,
-    ESTIMATOR_NAMES,
     RankEstimator,
-    build_walk_structure,
-    estimator_spec_help,
     record_estimate_metrics,
-    register_estimator,
     resolve_estimator,
 )
 from repro.estimation.exact import ExactEstimator
-from repro.estimation.montecarlo import (
-    DEFAULT_WALKS,
-    MonteCarloEstimator,
-)
 from repro.estimation.push import DEFAULT_R_MAX, PushEstimator
-
-register_estimator("exact", ExactEstimator)
-register_estimator("montecarlo", MonteCarloEstimator)
-register_estimator("push", PushEstimator)
 
 __all__ = [
     "RankEstimator",
-    "ESTIMATOR_NAMES",
-    "register_estimator",
     "resolve_estimator",
-    "estimator_spec_help",
     "record_estimate_metrics",
-    "build_walk_structure",
     "ERROR_BOUND_BUCKETS",
     "ExactEstimator",
-    "MonteCarloEstimator",
     "PushEstimator",
-    "DEFAULT_WALKS",
     "DEFAULT_R_MAX",
 ]

@@ -1,62 +1,49 @@
-"""The ``RankEstimator`` protocol and estimator registry.
+"""The ``RankEstimator`` protocol and estimator spec strings.
 
 This package is the second algorithm family beside the exact
-power-iteration path: sublinear *estimators* that trade certified
-accuracy for touching only a fraction of the extended graph.  Every
-implementation satisfies one contract:
+power-iteration path: residual push, a sublinear *estimator* that
+trades a certified error for touching only a fraction of the extended
+graph.  Every implementation satisfies one contract:
 
 * ``estimate(graph, local_nodes, settings=None, preprocessor=None)``
   returns a :class:`~repro.pagerank.result.SubgraphScores` whose
   ``extras`` carry at least
 
   ``"estimator"``
-      The registry name that produced the scores.
+      The engine name that produced the scores.
   ``"error_bound"``
-      A *certified* upper bound on the error of the returned scores
-      against the exact ApproxRank fixed point (L∞ for Monte Carlo's
-      Hoeffding certificate, L1 — which dominates L∞ — for the push
-      residual certificate; ``0.0`` for the exact wrapper).
+      A *certified* upper bound on the L1 error of the returned
+      scores over the n+1 extended vector (local pages plus Λ)
+      against the exact ApproxRank fixed point.  It holds with
+      probability 1: push reports its residual mass, an exact
+      identity; the exact wrapper reports ``0.0``.
   ``"edges_touched"``
       Honest work accounting: CSR entries actually read.  The
       sublinearity gate in ``BENCH_estimate.json`` compares this
       against the *global* edge count.
 
-* the estimator is deterministic for a fixed configuration: the
-  randomized engines derive per-node streams from an explicit seed, so
-  the same seed gives bit-identical scores across runs and worker
-  counts.
+* the estimator is deterministic: the same configuration gives
+  bit-identical scores on every run.
 
 Estimators are obtained by name through :func:`resolve_estimator`,
-which accepts ``"exact"``, ``"montecarlo"``, ``"push"`` or a
-parameterised spec string like ``"montecarlo:walks=20000,seed=7"`` —
-the grammar the CLI ``--estimator`` flag and the serve path's
-``/rank?estimator=`` query parameter both speak.
+which accepts ``"exact"``, ``"push"`` or a parameterised spec string
+like ``"push:r_max=1e-3"`` — the grammar the CLI ``--estimator`` flag
+and the serve path's ``/rank?estimator=`` query parameter both speak.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
-import numpy as np
-from scipy import sparse
-
-from repro.core.extended import ExtendedLocalGraph
 from repro.exceptions import EstimationError
 from repro.graph.digraph import CSRGraph
 from repro.obs.metrics import REGISTRY, SECONDS_BUCKETS, MetricsRegistry
 from repro.pagerank.result import SubgraphScores
 from repro.pagerank.solver import PowerIterationSettings
-from repro.pagerank.transition import csr_transpose
 
 __all__ = [
     "RankEstimator",
-    "ESTIMATOR_NAMES",
-    "register_estimator",
     "resolve_estimator",
-    "estimator_spec_help",
-    "ExtendedWalkStructure",
-    "build_walk_structure",
     "record_estimate_metrics",
     "ERROR_BOUND_BUCKETS",
 ]
@@ -66,7 +53,7 @@ __all__ = [
 class RankEstimator(Protocol):
     """Anything that estimates ApproxRank scores for a subgraph."""
 
-    #: Registry name; also recorded as ``extras["estimator"]``.
+    #: Spec-string name; also recorded as ``extras["estimator"]``.
     name: str
 
     def estimate(
@@ -81,47 +68,30 @@ class RankEstimator(Protocol):
 
 
 # ---------------------------------------------------------------------------
-# Registry + spec parsing
+# Spec parsing
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, Callable[..., RankEstimator]] = {}
+def _engines() -> dict[str, Callable[..., RankEstimator]]:
+    """The engines a spec string can name (imported lazily: both
+    engine modules import this one for :func:`record_estimate_metrics`)."""
+    from repro.estimation.exact import ExactEstimator
+    from repro.estimation.push import PushEstimator
 
-
-def register_estimator(
-    name: str, factory: Callable[..., RankEstimator]
-) -> None:
-    """Register an estimator factory under ``name``.
-
-    The factory receives the key/value parameters parsed from a spec
-    string (already coerced to int/float/bool) as keyword arguments.
-    """
-    _REGISTRY[name] = factory
-
-
-def _coerce(value: str):
-    """Spec values arrive as strings; make them numbers/bools."""
-    lowered = value.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
+    return {"exact": ExactEstimator, "push": PushEstimator}
 
 
 def resolve_estimator(spec) -> RankEstimator:
     """Turn a spec into a ready estimator.
 
     Accepts an estimator instance (returned unchanged), ``None`` (the
-    exact solver), or a spec string ``name[:key=value[,key=value...]]``:
+    exact solver), or a spec string ``name[:key=value[,key=value...]]``
+    whose values are numbers:
 
     >>> resolve_estimator("exact")
-    >>> resolve_estimator("montecarlo:walks=20000,seed=7")
     >>> resolve_estimator("push:r_max=1e-3")
+
+    Anything else — an unknown name, a malformed or repeated key, a
+    value that is not a number — raises :class:`EstimationError`.
     """
     if spec is None:
         spec = "exact"
@@ -134,152 +104,40 @@ def resolve_estimator(spec) -> RankEstimator:
         )
     name, _, params = spec.partition(":")
     name = name.strip()
-    factory = _REGISTRY.get(name)
+    engines = _engines()
+    factory = engines.get(name)
     if factory is None:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(engines)
         raise EstimationError(
             f"unknown estimator {name!r}; known estimators: {known}"
         )
-    kwargs = {}
+    kwargs: dict[str, float] = {}
     if params.strip():
         for item in params.split(","):
             key, sep, value = item.partition("=")
-            if not sep or not key.strip():
+            key = key.strip()
+            if not sep or not key:
                 raise EstimationError(
                     f"malformed estimator parameter {item!r} in {spec!r} "
                     "(expected key=value)"
                 )
-            kwargs[key.strip()] = _coerce(value.strip())
+            if key in kwargs:
+                raise EstimationError(
+                    f"duplicate estimator parameter {key!r} in {spec!r}"
+                )
+            try:
+                kwargs[key] = float(value)
+            except ValueError:
+                raise EstimationError(
+                    f"estimator parameter {item.strip()!r} in {spec!r} "
+                    "is not a number"
+                ) from None
     try:
         return factory(**kwargs)
     except TypeError as exc:
         raise EstimationError(
             f"invalid parameters for estimator {name!r}: {exc}"
         ) from exc
-
-
-def estimator_spec_help() -> str:
-    """One-line grammar reminder for CLI/API error messages."""
-    names = "|".join(sorted(_REGISTRY)) or "exact"
-    return f"{{{names}}}[:key=value,...]"
-
-
-def _registered_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-class _EstimatorNames:
-    """Lazy view of the registered names (registration happens on
-    package import, after this module's globals are created)."""
-
-    def __iter__(self):
-        return iter(_registered_names())
-
-    def __contains__(self, item) -> bool:
-        return item in _REGISTRY
-
-    def __repr__(self) -> str:
-        return repr(_registered_names())
-
-
-#: Iterable of registered estimator names (CLI ``choices`` compatible).
-ESTIMATOR_NAMES = _EstimatorNames()
-
-
-# ---------------------------------------------------------------------------
-# Shared sampling structure over the extended graph
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExtendedWalkStructure:
-    """Row-oriented sampling arrays for one extended local graph.
-
-    Both sublinear engines walk/push over the *rows* of the extended
-    transition matrix (the solver stores its transpose).  This bundles:
-
-    ``indptr`` / ``indices``
-        Row CSR structure of the (n+1)×(n+1) extended matrix.
-    ``shifted_cdf``
-        Per-row cumulative transition probabilities shifted by
-        ``2 * row``: entry ``j`` of row ``r`` holds
-        ``cdf_r[j] + 2r``, so one ``np.searchsorted`` over the whole
-        array resolves a batch of walk steps at mixed current nodes —
-        draw ``x ∈ [0,1)``, look up ``x + 2·node``, read ``indices``
-        at the returned slot.  Rows occupy disjoint value ranges
-        ``(2r, 2r+1]``, hence the factor 2.
-    ``dangling`` (length n+1)
-        Rows with no outgoing mass (globally dangling local pages —
-        their rows are left empty by design); a step from one jumps
-        through the teleport CDF instead.
-    ``teleport`` / ``teleport_cdf``
-        The extended personalisation vector ``P_ideal`` and its
-        cumulative form (last entry exactly 1.0).
-    ``nnz``
-        Entries in the extended matrix — the one-off setup cost both
-        engines charge to ``edges_touched``.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    shifted_cdf: np.ndarray
-    dangling: np.ndarray
-    teleport: np.ndarray
-    teleport_cdf: np.ndarray
-    nnz: int
-
-
-def build_walk_structure(
-    extended: ExtendedLocalGraph,
-) -> ExtendedWalkStructure:
-    """Build sampling arrays from an assembled extended graph."""
-    rows: sparse.csr_matrix = csr_transpose(extended.transition_ext_t)
-    size = extended.num_local + 1
-    indptr = np.asarray(rows.indptr, dtype=np.int64)
-    indices = np.asarray(rows.indices, dtype=np.int64)
-    data = np.asarray(rows.data, dtype=np.float64)
-
-    row_ids = np.repeat(
-        np.arange(size, dtype=np.int64), np.diff(indptr)
-    )
-    cdf = np.cumsum(data)
-    # Cumulative mass *before* each row (0 when every earlier row is
-    # empty — np.where guards the cdf[-1] wraparound).
-    prev_last = indptr[:-1] - 1
-    before = np.where(
-        prev_last >= 0, cdf[np.maximum(prev_last, 0)], 0.0
-    )
-    cdf -= before[row_ids]
-    row_sums = np.zeros(size, dtype=np.float64)
-    np.add.at(row_sums, row_ids, data)
-    # Normalise each row's CDF to end exactly at 1 (rows are stochastic
-    # up to float residue); zero rows are flagged dangling below.
-    safe = np.where(row_sums[row_ids] > 0, row_sums[row_ids], 1.0)
-    cdf /= safe
-    last = indptr[1:] - 1
-    nonempty = np.diff(indptr) > 0
-    cdf[last[nonempty]] = 1.0
-    shifted = cdf + 2.0 * row_ids
-
-    dangling = np.asarray(extended.dangling_mask_ext, dtype=bool) | (
-        row_sums <= 0.0
-    )
-
-    teleport = np.asarray(extended.p_ideal, dtype=np.float64)
-    teleport_cdf = np.cumsum(teleport)
-    scale = teleport_cdf[-1]
-    if scale > 0:
-        teleport_cdf = teleport_cdf / scale
-    teleport_cdf[-1] = 1.0
-
-    return ExtendedWalkStructure(
-        indptr=indptr,
-        indices=indices,
-        shifted_cdf=shifted,
-        dangling=dangling,
-        teleport=teleport,
-        teleport_cdf=teleport_cdf,
-        nnz=int(data.size),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +160,6 @@ def record_estimate_metrics(
 
     * ``repro_estimate_requests_total`` — estimates served;
     * ``repro_estimate_edges_touched_total`` — CSR entries read;
-    * ``repro_estimate_walks_total`` — Monte Carlo walks simulated;
     * ``repro_estimate_pushes_total`` — residual pushes applied;
     * ``repro_estimate_error_bound`` — certified-bound distribution;
     * ``repro_estimate_seconds`` — end-to-end estimate latency.
@@ -322,13 +179,6 @@ def record_estimate_metrics(
             "CSR entries read while estimating, by estimator.",
             estimator=estimator,
         ).inc(float(edges))
-    walks = extras.get("walks")
-    if walks is not None:
-        reg.counter(
-            "repro_estimate_walks_total",
-            "Monte Carlo walks simulated.",
-            estimator=estimator,
-        ).inc(float(walks))
     pushes = extras.get("pushes")
     if pushes is not None:
         reg.counter(

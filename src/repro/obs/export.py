@@ -644,14 +644,9 @@ def _estimation_section(metrics: Mapping) -> list[str]:
                 bound["sum"] / bound["count"]
             )
         rows.append(row)
-    walks = _metric_total(metrics, "repro_estimate_walks_total")
     pushes = _metric_total(metrics, "repro_estimate_pushes_total")
-    if walks or pushes:
-        rows.append(
-            "  walks simulated {}  residual pushes {}".format(
-                int(walks), int(pushes)
-            )
-        )
+    if pushes:
+        rows.append("  residual pushes {}".format(int(pushes)))
     return rows if len(rows) > 1 else []
 
 

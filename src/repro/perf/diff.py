@@ -73,8 +73,6 @@ def _numeric_leaves(node: Any, path: str = "") -> dict[str, float]:
                     label = str(item["family"])
                 elif "backend" in item and "dtype" in item:
                     label = f"{item['backend']}/{item['dtype']}"
-                elif "estimator" in item and "walks" in item:
-                    label = f"{item['estimator']}/walks={item['walks']}"
                 elif "estimator" in item and "r_max" in item:
                     label = f"{item['estimator']}/r_max={item['r_max']:g}"
                 elif "workers" in item:

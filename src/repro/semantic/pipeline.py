@@ -331,7 +331,7 @@ class SemanticPipeline:
     ) -> SemanticAnswer:
         """Run the full pipeline offline (select → rank → dedup).
 
-        ``estimator`` is a spec string (``"montecarlo:walks=5000"``
+        ``estimator`` is a spec string (``"push:r_max=1e-3"``
         …); ``None``/``"exact"`` takes the exact
         :func:`approxrank` path, bit-identical to what the serving
         route returns for the same query.

@@ -417,7 +417,7 @@ class RankingService:
         charge is within budget); a miss solves fresh.
 
         ``estimator`` opts a request into the sublinear engines (spec
-        string, e.g. ``"montecarlo:walks=20000"``); it falls back to
+        string, e.g. ``"push:r_max=1e-3"``); it falls back to
         the service's ``default_estimator``.  Estimated results are
         *never* bit-identical to the offline solve, so they are always
         flagged stale, carry their certified ``error_bound`` as the
@@ -464,8 +464,9 @@ class RankingService:
         Estimates bypass the micro-batcher (there is no multi-column
         kernel to amortise) and run on the solver executor.  The
         certified error bound doubles as the entry's staleness charge:
-        both it and any later Theorem-2 update charges upper-bound the
-        score drift, so the store's budget accounting uniformly caps
+        it and every later Theorem-2 update charge are L1 bounds over
+        the extended vector that hold with probability 1, so their sum
+        bounds the served error and the store's budget accounting caps
         total certified error.
         """
         state = self._state

@@ -13,10 +13,10 @@ keyed by
 * the **damping factor** — ε changes the fixed point, so it is part of
   the identity of a score vector;
 * the **variant** — which estimator produced the scores (``"exact"``
-  by default).  Sublinear estimates (Monte Carlo, push) are warm too,
-  but they must never be served where the bit-identical exact contract
-  applies, so they live under their own keys: an ``"exact"`` lookup
-  cannot hit a ``"montecarlo"`` entry, and vice versa.
+  by default).  Push estimates are warm too, but they must never be
+  served where the bit-identical exact contract applies, so they live
+  under their own keys: an ``"exact"`` lookup cannot hit a
+  ``"push:r_max=0.001"`` entry, and vice versa.
 
 Freshness is governed three ways:
 
@@ -580,7 +580,7 @@ class ScoreStore:
                     ).size
                 )
                 # Estimated entries carry the same Theorem-2 charge on
-                # top of their sampling/push certificate, but the exact
+                # top of their push certificate, but the exact
                 # refresher must not recompute them (its output would
                 # not be this estimator's scores) — they serve stale
                 # until re-estimated or evicted.

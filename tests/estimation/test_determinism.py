@@ -1,106 +1,57 @@
-"""The Monte Carlo determinism matrix.
+"""Estimated scores are one answer per configuration, bit for bit.
 
-The contract the store's variant token relies on: one seed is one
-answer — bit-identical across runs, across 1/2/4 worker threads, and
-across a persist/warm_load cycle through the ScoreStore; distinct
-seeds give genuinely distinct walk streams, and no two start nodes
-ever share a stream.
+The contract the store's variant token relies on: one push
+configuration is one answer — bit-identical across runs, and across a
+persist/warm_load cycle through the ScoreStore, still flagged stale
+with its certificate as the staleness charge, never shadowing the
+exact slot.
 """
 
 import numpy as np
 import pytest
 
-from repro.estimation import MonteCarloEstimator
+from repro.estimation import PushEstimator
 from repro.serve.store import ScoreStore
 
 from tests.estimation.conftest import SETTINGS
 
 pytestmark = pytest.mark.estimation
 
-WALKS = 8_000
-SEED = 97
+R_MAX = 1e-3
 
 
 @pytest.fixture(scope="module")
 def reference(graph, local_nodes, prep):
-    return MonteCarloEstimator(walks=WALKS, seed=SEED).estimate(
+    return PushEstimator(r_max=R_MAX).estimate(
         graph, local_nodes, settings=SETTINGS, preprocessor=prep
     )
 
 
 class TestWorkerMatrix:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_bit_identical_across_worker_counts(
-        self, graph, local_nodes, prep, reference, workers
-    ):
-        scores = MonteCarloEstimator(
-            walks=WALKS, seed=SEED, workers=workers
-        ).estimate(
-            graph, local_nodes, settings=SETTINGS, preprocessor=prep
-        )
-        assert np.array_equal(scores.scores, reference.scores)
-        assert (
-            scores.extras["walk_steps"]
-            == reference.extras["walk_steps"]
-        )
-        assert (
-            scores.extras["lambda_score"]
-            == reference.extras["lambda_score"]
-        )
+    """Push runs on one thread, so the matrix is a single column."""
 
     def test_bit_identical_across_repeat_runs(
         self, graph, local_nodes, prep, reference
     ):
-        again = MonteCarloEstimator(walks=WALKS, seed=SEED).estimate(
+        again = PushEstimator(r_max=R_MAX).estimate(
             graph, local_nodes, settings=SETTINGS, preprocessor=prep
         )
         assert np.array_equal(again.scores, reference.scores)
-
-
-class TestSeedSeparation:
-    def test_distinct_seeds_distinct_streams(
-        self, graph, local_nodes, prep, reference
-    ):
-        other = MonteCarloEstimator(walks=WALKS, seed=SEED + 1).estimate(
-            graph, local_nodes, settings=SETTINGS, preprocessor=prep
+        assert again.extras["pushes"] == reference.extras["pushes"]
+        assert (
+            again.extras["edges_touched"]
+            == reference.extras["edges_touched"]
         )
-        assert not np.array_equal(other.scores, reference.scores)
-
-    def test_streams_are_per_global_node_id(
-        self, graph, local_nodes, reference
-    ):
-        """The documented stream contract, pinned externally.
-
-        Walks from start node ``u`` consume randomness only from
-        ``default_rng((seed, global_id(u)))`` (``N`` for Λ), drawing
-        all walk lengths first.  Recomputing every node's lengths from
-        that contract must reproduce the engine's reported step total
-        exactly — which fails if any node's draws shift with the
-        subgraph, i.e. if streams were shared or positional.
-        """
-        num_global = graph.num_nodes
-        size = local_nodes.size + 1
-        teleport = np.full(size, 1.0 / num_global)
-        teleport[-1] = (num_global - local_nodes.size) / num_global
-        allocation = np.maximum(
-            np.floor(WALKS * teleport).astype(np.int64), 1
+        assert (
+            again.extras["error_bound"] == reference.extras["error_bound"]
         )
-        keys = np.concatenate([local_nodes, [num_global]])
-        expected_steps = 0
-        for key, count in zip(keys, allocation):
-            rng = np.random.default_rng((SEED, int(key)))
-            lengths = rng.geometric(
-                1.0 - SETTINGS.damping, size=int(count)
-            ) - 1
-            expected_steps += int(lengths.sum())
-        assert reference.extras["walk_steps"] == expected_steps
 
 
 class TestPersistReload:
     def test_scores_survive_store_round_trip(
         self, tmp_path, graph, local_nodes, reference
     ):
-        engine = MonteCarloEstimator(walks=WALKS, seed=SEED)
+        engine = PushEstimator(r_max=R_MAX)
         store = ScoreStore()
         store.put(
             graph,
@@ -122,6 +73,8 @@ class TestPersistReload:
         assert np.array_equal(hit.scores.scores, reference.scores)
         assert hit.stale
         assert hit.staleness == reference.extras["error_bound"]
+        assert hit.scores.extras["estimator"] == "push"
+        assert hit.scores.extras["pushes"] == reference.extras["pushes"]
         # The exact slot stays empty: estimated entries never shadow it.
         assert (
             reloaded_store.get(graph, local_nodes, SETTINGS.damping)

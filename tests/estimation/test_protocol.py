@@ -1,4 +1,4 @@
-"""The RankEstimator protocol, registry, and spec parsing.
+"""The RankEstimator protocol and spec parsing.
 
 The contract every engine signs: a ``name``, an ``estimate()`` with
 the exact-solver signature, a ``variant`` token carrying every
@@ -13,9 +13,7 @@ import pytest
 
 from repro.core.approxrank import approxrank
 from repro.estimation import (
-    ESTIMATOR_NAMES,
     ExactEstimator,
-    MonteCarloEstimator,
     PushEstimator,
     RankEstimator,
     resolve_estimator,
@@ -29,13 +27,14 @@ pytestmark = pytest.mark.estimation
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert {"exact", "montecarlo", "push"} <= set(ESTIMATOR_NAMES)
+        # The engine table is fixed: exactly exact and push.
+        with pytest.raises(
+            EstimationError, match="known estimators: exact, push$"
+        ):
+            resolve_estimator("quantum")
 
     def test_resolve_by_bare_name(self):
         assert isinstance(resolve_estimator("exact"), ExactEstimator)
-        assert isinstance(
-            resolve_estimator("montecarlo"), MonteCarloEstimator
-        )
         assert isinstance(resolve_estimator("push"), PushEstimator)
 
     def test_resolve_none_is_exact(self):
@@ -46,12 +45,8 @@ class TestRegistry:
         assert resolve_estimator(engine) is engine
 
     def test_spec_parameters_are_coerced(self):
-        engine = resolve_estimator(
-            "montecarlo:walks=2000,seed=7,confidence=0.05"
-        )
-        assert engine.walks == 2000
-        assert engine.seed == 7
-        assert engine.confidence == 0.05
+        engine = resolve_estimator("push: r_max = 0.005 ")
+        assert engine.r_max == 0.005
 
     def test_push_spec_accepts_scientific_notation(self):
         assert resolve_estimator("push:r_max=1e-4").r_max == 1e-4
@@ -64,36 +59,38 @@ class TestRegistry:
         with pytest.raises(EstimationError):
             resolve_estimator("push:threshold=1e-4")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "quantum",
+            "montecarlo",
+            "push:oops",
+            "push:r_max=true",
+            "push:r_max=1e-3,r_max=0.5",
+            "push:r_max=",
+            "push:r_max=nan",
+            "exact:r_max=1e-3",
+        ],
+    )
+    def test_bogus_specs_raise(self, spec):
+        with pytest.raises(EstimationError):
+            resolve_estimator(spec)
+
     def test_engines_satisfy_the_protocol(self):
-        for engine in (
-            ExactEstimator(),
-            MonteCarloEstimator(),
-            PushEstimator(),
-        ):
+        for engine in (ExactEstimator(), PushEstimator()):
             assert isinstance(engine, RankEstimator)
 
 
 class TestVariantTokens:
-    """The variant IS the store-key component: parameters in, workers out."""
+    """The variant IS the store-key component: every parameter in."""
 
     def test_exact_variant_is_bare(self):
         assert ExactEstimator().variant == "exact"
 
-    def test_montecarlo_variant_carries_score_parameters(self):
-        token = MonteCarloEstimator(
-            walks=1000, seed=3, confidence=0.05
-        ).variant
-        assert "walks=1000" in token
-        assert "seed=3" in token
-        assert "confidence=0.05" in token
-
-    def test_montecarlo_variant_ignores_workers(self):
-        # Scores are bit-identical across worker counts, so workers
-        # must not fragment the cache.
-        assert (
-            MonteCarloEstimator(walks=500, workers=1).variant
-            == MonteCarloEstimator(walks=500, workers=4).variant
-        )
+    def test_push_variant_round_trips_through_the_spec_grammar(self):
+        engine = PushEstimator(r_max=1e-3)
+        assert engine.variant == "push:r_max=0.001"
+        assert resolve_estimator(engine.variant).variant == engine.variant
 
     def test_distinct_parameters_distinct_variants(self):
         assert (

@@ -1,9 +1,9 @@
 """Residual local-push engine: the invariant, the bound, the locality.
 
 The decomposition ``p = p̂ + Σ_u r(u)·ppr(u)`` makes ``‖r‖₁`` an
-*exact* L1 error certificate, so these tests can demand more than the
-Monte Carlo suite: the measured error must track the reported bound to
-float precision, and shrinking ``r_max`` must both tighten the answer
+*exact* L1 error certificate, so these tests can demand more than
+"error under bound": the measured error must track the reported bound
+to float precision, and shrinking ``r_max`` must both tighten the answer
 and keep the work proportional to the pushed frontier.
 """
 

@@ -141,16 +141,15 @@ def estimate_golden_registry() -> MetricsRegistry:
         SubgraphScores(
             local_nodes=np.arange(3, dtype=np.int64),
             scores=np.full(3, 1 / 3),
-            method="approxrank-montecarlo",
-            iterations=0,
-            residual=0.02,
+            method="approxrank",
+            iterations=12,
+            residual=1e-10,
             converged=True,
             runtime_seconds=0.25,
             extras={
-                "estimator": "montecarlo",
-                "error_bound": 0.02,
+                "estimator": "exact",
+                "error_bound": 0.0,
                 "edges_touched": 1200,
-                "walks": 500,
             },
         ),
         registry=reg,
@@ -219,7 +218,7 @@ def semantic_golden_registry() -> MetricsRegistry:
         answer("exact", False, 0.0, 83, 2, 51), registry=reg
     )
     record_semantic_metrics(
-        answer("montecarlo", True, 0.02, 40, 0, 7), registry=reg
+        answer("push", True, 0.02, 40, 0, 7), registry=reg
     )
     return reg
 
@@ -482,13 +481,15 @@ class TestRenderReport:
             build_snapshot(estimate_golden_registry())
         )
         assert "Estimation (sublinear engines)" in report
-        assert "montecarlo" in report
+        assert "exact" in report
         assert "edges 1200" in report
         assert "mean 250.0ms" in report
-        assert "mean bound 2.00e-02" in report
+        assert "mean bound 0.00e+00" in report
         assert "push" in report
         assert "edges 300" in report
-        assert "walks simulated 500  residual pushes 25" in report
+        assert "mean bound 8.00e-04" in report
+        assert "residual pushes 25" in report
+        assert "walks" not in report
 
     def test_estimation_section_absent_without_estimate_traffic(self):
         report = render_report(build_snapshot(golden_registry()))
@@ -500,7 +501,7 @@ class TestRenderReport:
         )
         assert "Semantic" in report
         assert "queries[exact] x1" in report
-        assert "queries[montecarlo] x1" in report
+        assert "queries[push] x1" in report
         assert "candidates pruned 123  dedup merges 2" in report
         assert "neighborhoods 2  mean 29.0 pages" in report
 

@@ -88,8 +88,8 @@ class TestClassification:
 
 def estimation_record(**point_overrides):
     base = {
-        "estimator": "montecarlo",
-        "walks": 20000,
+        "estimator": "push",
+        "r_max": 1e-3,
         "error_inf": 1e-3,
         "edges_touched": 5000,
         "edges_fraction": 0.04,
@@ -130,7 +130,7 @@ class TestEstimationDirections:
             estimation_record(), estimation_record(error_inf=2e-3)
         )
         metric = report["regressions"][0]["metric"]
-        assert metric.startswith("sweep[montecarlo/walks=20000]")
+        assert metric.startswith("sweep[push/r_max=0.001]")
 
     def test_overrides_scoped_to_the_estimation_benchmark(self):
         # The same leaf names stay neutral in other benchmarks.

@@ -31,7 +31,7 @@ pytestmark = [pytest.mark.serve, pytest.mark.semantic]
 
 SETTINGS = PowerIterationSettings(tolerance=1e-9)
 TERMS = [0, 1, 2]
-MC_SPEC = "montecarlo:walks=5000,seed=13"
+SPEC = "push:r_max=1e-3"
 
 
 def _offline_pipeline(graph) -> SemanticPipeline:
@@ -113,8 +113,8 @@ class TestEstimatedPath:
     def test_estimated_answer_flagged_with_certified_bound(
         self, client
     ):
-        wire = client.semantic_search(TERMS, k=5, estimator=MC_SPEC)
-        assert wire["estimator"] == "montecarlo"
+        wire = client.semantic_search(TERMS, k=5, estimator=SPEC)
+        assert wire["estimator"] == "push"
         assert wire["estimated"] is True
         assert wire["stale"] is True
         assert wire["error_bound"] > 0.0
@@ -123,7 +123,7 @@ class TestEstimatedPath:
     def test_estimated_scores_within_bound_of_exact(
         self, client, offline
     ):
-        wire = client.semantic_search(TERMS, k=100, estimator=MC_SPEC)
+        wire = client.semantic_search(TERMS, k=100, estimator=SPEC)
         assert wire["nodes"] == offline.local_nodes.tolist()
         exact = {
             h.page: h.score
@@ -138,18 +138,21 @@ class TestEstimatedPath:
         payload = client._json(
             "POST",
             "/semantic-search",
-            {"terms": TERMS, "k": 5, "estimator": MC_SPEC},
+            {"terms": TERMS, "k": 5, "estimator": SPEC},
         )
-        assert payload["estimator"] == "montecarlo"
+        assert payload["estimator"] == "push"
         assert payload["estimated"] is True
 
     def test_bogus_estimator_spec_is_400(self, client):
-        with pytest.raises(ServeRequestError) as excinfo:
-            client.semantic_search(TERMS, estimator="montecarlo:walks=-1")
-        assert excinfo.value.status == 400
-        with pytest.raises(ServeRequestError) as excinfo:
-            client.semantic_search(TERMS, estimator="quantum")
-        assert excinfo.value.status == 400
+        for spec in (
+            "quantum",
+            "push:oops",
+            "push:r_max=true",
+            "push:r_max=1e-3,r_max=0.5",
+        ):
+            with pytest.raises(ServeRequestError) as excinfo:
+                client.semantic_search(TERMS, estimator=spec)
+            assert excinfo.value.status == 400, spec
 
 
 class TestValidation:
@@ -209,14 +212,15 @@ class TestRoutedServing:
         assert again["cache_hit"] is True
 
     def test_routed_estimated_path_flagged(self, routed):
-        wire = routed.semantic_search(TERMS, k=5, estimator=MC_SPEC)
+        wire = routed.semantic_search(TERMS, k=5, estimator=SPEC)
         assert wire["estimated"] is True
         assert wire["staleness"] == wire["error_bound"] > 0.0
 
     def test_routed_bogus_estimator_is_fatal_400(self, routed):
-        with pytest.raises(ServeRequestError) as excinfo:
-            routed.semantic_search(TERMS, estimator="quantum")
-        assert excinfo.value.status == 400
+        for spec in ("quantum", "push:r_max=true"):
+            with pytest.raises(ServeRequestError) as excinfo:
+                routed.semantic_search(TERMS, estimator=spec)
+            assert excinfo.value.status == 400, spec
 
 
 def _offline_pipeline_scores(offline):

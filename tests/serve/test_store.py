@@ -11,13 +11,17 @@ The store's contract:
   the *stale-but-bounded* state — served flagged, charged against the
   Theorem-2 staleness budget — and evicts the moment a cumulative
   charge crosses the budget (an over-budget entry is never served,
-  which the lookup path double-checks under concurrent reads).
+  which the lookup path double-checks under concurrent reads);
+* the served staleness is a sound L1 certificate end to end: an
+  estimate's own bound plus every update charge bounds the gap to the
+  exact answer on the current graph.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.approxrank import approxrank
+from repro.estimation import resolve_estimator
 from repro.exceptions import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.pagerank.solver import PowerIterationSettings
@@ -27,7 +31,7 @@ from repro.serve.store import (
     graph_fingerprint,
     subgraph_digest,
 )
-from repro.updates.delta import GraphDelta, apply_delta
+from repro.updates.delta import GraphDelta, apply_delta, random_region_delta
 
 from tests.conftest import random_digraph
 
@@ -196,14 +200,14 @@ class TestPersistence:
             scores,
             extras={
                 **scores.extras,
-                "estimator": "montecarlo",
+                "estimator": "push",
                 "error_bound": 0.0125,
                 "edges_touched": 4321,
-                "walks": 500,
-                "seed": 7,
+                "pushes": 500,
+                "r_max": 0.02,
             },
         )
-        variant = "montecarlo:walks=500,seed=7,confidence=0.01"
+        variant = "push:r_max=0.02"
         store = ScoreStore(registry=MetricsRegistry())
         store.put(
             graph, nodes, 0.85, estimated,
@@ -218,10 +222,11 @@ class TestPersistence:
         np.testing.assert_array_equal(
             hit.scores.scores, estimated.scores
         )
-        assert hit.scores.extras["estimator"] == "montecarlo"
+        assert hit.scores.extras["estimator"] == "push"
         assert hit.scores.extras["error_bound"] == 0.0125
         assert hit.scores.extras["edges_touched"] == 4321
-        assert hit.scores.extras["walks"] == 500
+        assert hit.scores.extras["pushes"] == 500
+        assert hit.scores.extras["r_max"] == 0.02
         assert hit.stale is True
         assert hit.staleness == 0.0125
         # The exact slot is untouched by the estimated entry.
@@ -590,3 +595,57 @@ class TestStalenessBudget:
         for gr in graphs:
             hit = store.lookup(gr, inside, 0.85)
             assert hit is None or hit.staleness <= budget
+
+
+@pytest.mark.estimation
+class TestComposedCertificate:
+    """Estimate, then k updates: the served staleness still certifies.
+
+    Mirrors the serve path end to end — ``put`` with the estimate's
+    ``error_bound`` as its staleness, as ``RankingService`` does, then
+    chained ``apply_update`` charges with no refresher — and checks
+    the served ``staleness`` against the measured L1 gap over the
+    extended vector (local pages plus Λ) to ``approxrank`` on the
+    graph as it stands after each update.
+    """
+
+    UPDATES = 4
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    @pytest.mark.parametrize(
+        "spec", ["exact", "push:r_max=1e-2", "push:r_max=1e-3"]
+    )
+    def test_staleness_bounds_l1_gap_after_every_update(self, spec, seed):
+        settings = PowerIterationSettings(tolerance=1e-12)
+        graph = random_digraph(400, mean_degree=5.0, seed=seed)
+        nodes = np.arange(40, 120, dtype=np.int64)
+        engine = resolve_estimator(spec)
+        estimate = engine.estimate(graph, nodes, settings=settings)
+        store = ScoreStore(registry=MetricsRegistry())
+        store.put(
+            graph,
+            nodes,
+            settings.damping,
+            estimate,
+            stale=engine.name != "exact",
+            staleness=estimate.extras["error_bound"],
+            variant=engine.variant,
+        )
+        region = np.arange(0, 200, dtype=np.int64)
+        for step in range(self.UPDATES):
+            delta = random_region_delta(
+                graph, region, added=1, seed=seed * 100 + step
+            )
+            new_graph = apply_delta(graph, delta)
+            store.apply_update(graph, new_graph, delta=delta)
+            graph = new_graph
+            hit = store.lookup(
+                graph, nodes, settings.damping, variant=engine.variant
+            )
+            assert hit is not None, f"evicted after update {step}"
+            truth = approxrank(graph, nodes, settings)
+            gap = np.abs(hit.scores.scores - truth.scores).sum() + abs(
+                hit.scores.extras["lambda_score"]
+                - truth.extras["lambda_score"]
+            )
+            assert gap <= hit.staleness, (spec, seed, step)
