@@ -21,7 +21,8 @@ test:
 test-tier2:
 	$(PYTHON) -m pytest -q -m tier2 tests/perf tests/parallel
 
-# Backend matrix alone (tier-1 agreement sweep + tier-2 bench gate).
+# Solver precision alone (tier-1 float64/float32 agreement sweep +
+# tier-2 bench gate).
 test-backends:
 	$(PYTHON) -m pytest -q -m "backends" tests/perf tests/pagerank
 
@@ -105,9 +106,8 @@ bench-serve-smoke:
 bench-backends:
 	$(PYTHON) benchmarks/bench_backends.py
 
-# CI tier-2 gate: small workload; accuracy clauses (numba/f64 <= 1e-12
-# L1, float32 within its documented bound) always apply; speedup
-# clauses the box cannot exercise are waived and recorded in the JSON.
+# CI tier-2 gate: small workload; float32 scores must land within their
+# documented L1 bound of float64.  The speedup is recorded, not gated.
 bench-backends-smoke:
 	$(PYTHON) benchmarks/bench_backends.py --smoke --output /tmp/BENCH_backend_smoke.json
 

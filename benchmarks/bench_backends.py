@@ -1,21 +1,17 @@
 #!/usr/bin/env python
-"""Benchmark the solver backends and emit ``BENCH_backend.json``.
+"""Benchmark the solver precisions and emit ``BENCH_backend.json``.
 
-Sweeps the pluggable solver backends over one AU-like reference
-workload: a full global solve on every (backend, dtype) cell —
-reference/numba × float64/float32 — plus a 1/2/4-thread
-``rank_many_threaded`` sweep on the best available backend.
+Runs a full global solve on one AU-like reference workload in float64
+(the baseline) and in float32.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_backends.py           # full
     PYTHONPATH=src python benchmarks/bench_backends.py --smoke   # CI gate
 
-Exit code is non-zero when the smoke gate fails.  Accuracy clauses
-(numba/float64 ≤ 1e-12 L1 vs reference; float32 within its documented
-bound) always apply; speedup clauses the environment cannot exercise
-— numba absent, single-core box — are waived and recorded in the
-JSON (``waivers``) instead of failed.  See ``make bench-backends-smoke``.
+Exit code is non-zero when the smoke gate fails: the float32 scores
+must land within their documented L1 bound of the float64 scores.
+See ``make bench-backends-smoke``.
 """
 
 from __future__ import annotations
@@ -33,8 +29,7 @@ from repro.perf.backend_bench import (
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "Benchmark the pluggable solver backends (reference vs "
-            "numba, float64 vs float32, thread scaling)."
+            "Benchmark the solver precisions (float64 vs float32)."
         )
     )
     parser.add_argument(

@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
             "kernel benchmark (BENCH_solver.json), 'bench-parallel' "
             "the multi-subgraph scaling benchmark (BENCH_parallel.json), "
             "'bench-serve' the online-service benchmark "
-            "(BENCH_serve.json), 'bench-backends' the pluggable-backend "
+            "(BENCH_serve.json), 'bench-backends' the solver-precision "
             "benchmark (BENCH_backend.json), 'bench-updates' the "
             "incremental re-ranking benchmark (BENCH_update.json), "
             "'bench-shard' the sharded-cluster benchmark "
@@ -101,16 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "snapshot_new", nargs="?", default=None, metavar="NEW",
         help="('bench-diff' only) the NEW benchmark record",
-    )
-    parser.add_argument(
-        "--backend", choices=["auto", "reference", "numba"],
-        default=None,
-        help=(
-            "solver backend for every power iteration in this process "
-            "(equivalent to REPRO_BACKEND); 'auto' picks numba when "
-            "importable and falls back to the scipy reference "
-            "otherwise; scores agree within the solver tolerance"
-        ),
     )
     parser.add_argument(
         "--float32", action="store_true",
@@ -587,16 +577,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.obs or args.obs_out:
         obs.enable()
 
-    if args.backend is not None or args.float32:
+    if args.float32:
         # Applies to every solve in this process: experiments, the
         # benches, and the serving tier all resolve through the
-        # process default (same effect as REPRO_BACKEND).
+        # process default (same effect as REPRO_DTYPE=float32).
         from repro.pagerank.backends import set_default_backend
 
-        spec = args.backend or "auto"
-        if args.float32:
-            spec += ":float32"
-        set_default_backend(spec)
+        set_default_backend("float32")
 
     if args.experiment == "bench-diff":
         from repro.perf.diff import (
@@ -694,8 +681,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if (not args.fast or record["gate_passed"]) else 1
 
     if args.experiment == "bench-backends":
-        # Backend matrix benchmark (reference vs numba, float64 vs
-        # float32, thread scaling); --fast maps to smoke mode.
+        # Solver precision benchmark (float64 vs float32); --fast
+        # maps to smoke mode.
         from repro.perf.backend_bench import (
             format_backend_summary,
             run_backend_benchmark,

@@ -122,9 +122,10 @@ class ExtendedLocalGraph:
             burn-in sweeps a cold start needs (``warm_start`` /
             ``iterations_saved`` on the outcome record the savings).
         backend:
-            Kernel implementation
-            (:class:`~repro.pagerank.backends.SolverBackend`, spec
-            string, or ``None`` for the process default).
+            Solver precision
+            (:class:`~repro.pagerank.backends.SolverBackend`,
+            ``"float64"`` / ``"float32"``, or ``None`` for the process
+            default).
         """
         teleport = (
             self.p_ideal if teleport_override is None

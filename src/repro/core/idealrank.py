@@ -59,8 +59,8 @@ def idealrank(
         (local scores then Λ); used by the incremental re-ranking
         engine to skip cold-start burn-in sweeps.
     backend:
-        Kernel implementation forwarded to the solver (``None`` =
-        process default).
+        Solver precision forwarded to the solver (``None`` = process
+        default).
 
     Returns
     -------

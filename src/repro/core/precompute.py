@@ -142,7 +142,7 @@ class ApproxRankPreprocessor:
         score vector (length n+1: local scores then Λ) — the serving
         layer's background refresher uses this to re-rank a stale
         store entry in a handful of sweeps.  ``backend`` selects the
-        solver kernels (``None`` = process default).
+        solver precision (``None`` = process default).
         """
         start = time.perf_counter()
         extended = self.extended_graph(local_nodes)

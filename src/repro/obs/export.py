@@ -368,23 +368,18 @@ def _faults_section(metrics: Mapping) -> list[str]:
 
 
 def _backend_info_line(metrics: Mapping) -> str | None:
-    """The active solver backend, read off the info gauge.
+    """The active solver precision, read off the info gauge.
 
     ``repro_solver_backend_info`` carries value 1 on exactly one label
-    set (switching backends zeroes the previous set), so the first
-    sample at 1 *is* the active backend.
+    set (switching precision zeroes the previous set), so the first
+    sample at 1 *is* the active solver.
     """
     for sample in _sample_map(metrics, "repro_solver_backend_info"):
         if sample.get("value") != 1.0:
             continue
         labels = sample["labels"]
-        return (
-            "  backend {}/{} (layout {}, numba {})".format(
-                labels.get("backend", "?"),
-                labels.get("dtype", "?"),
-                labels.get("layout", "?"),
-                labels.get("numba", "?"),
-            )
+        return "  dtype {} (layout {})".format(
+            labels.get("dtype", "?"), labels.get("layout", "?")
         )
     return None
 

@@ -9,11 +9,9 @@ plus the generic solver the IdealRank/ApproxRank extended graphs reuse.
 Performance layer
 -----------------
 All solver variants run on allocation-free kernels (preallocated
-iterate/scratch buffers, in-place sparse mat-vecs) behind the
-pluggable :mod:`repro.pagerank.backends` protocol: the scipy
-``_sparsetools`` reference backend is the always-available default,
-an optional numba backend provides fused GIL-free compiled sweeps,
-and both support a float32 score mode.  Workloads that solve many
+iterate/scratch buffers, in-place scipy ``_sparsetools`` mat-vecs)
+driven by :class:`~repro.pagerank.backends.SolverBackend`, whose one
+switch is a float32 score mode.  Workloads that solve many
 walks over one matrix — per-keyword ObjectRank, damping sweeps,
 multiple extended personalisations — go through the batched
 multi-vector solver of :mod:`repro.pagerank.batched`, and transition
@@ -25,14 +23,10 @@ from repro.pagerank.accelerated import (
     power_iteration_extrapolated,
 )
 from repro.pagerank.backends import (
-    BackendUnavailableError,
     SolverBackend,
-    available_backends,
     backend_info,
-    get_backend,
     resolve_backend,
     set_default_backend,
-    use_backend,
 )
 from repro.pagerank.batched import (
     BatchedOutcome,
@@ -62,7 +56,6 @@ from repro.pagerank.transition import (
 )
 
 __all__ = [
-    "BackendUnavailableError",
     "BatchedOutcome",
     "PowerIterationSettings",
     "PowerIterationWorkspace",
@@ -70,7 +63,6 @@ __all__ = [
     "RankResult",
     "SolverBackend",
     "SubgraphScores",
-    "available_backends",
     "backend_info",
     "batched_power_iteration",
     "csr_matmat_dense_into",
@@ -78,7 +70,6 @@ __all__ = [
     "csr_transpose",
     "damping_sweep",
     "edge_perturbation_study",
-    "get_backend",
     "global_pagerank",
     "local_pagerank",
     "perturbation_bound",
@@ -90,7 +81,6 @@ __all__ = [
     "set_default_backend",
     "solve_linear_system",
     "stack_teleports",
-    "use_backend",
     "transition_matrix",
     "transition_matrix_transpose",
 ]

@@ -22,8 +22,7 @@ the same :class:`~repro.pagerank.solver.PowerIterationOutcome`.  Like
 the plain solver, their inner loops run on the allocation-free kernels
 of the selected :class:`~repro.pagerank.backends.SolverBackend`:
 iterate, scratch and (for the extrapolated variant) history buffers
-are preallocated once and every step is in-place arithmetic, fused or
-not depending on the backend.
+are preallocated once and every step is in-place arithmetic.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ def power_iteration_extrapolated(
         consecutive iterates; 10 matches the WWW'03 recommendation of
         applying extrapolation infrequently).
     backend:
-        Kernel implementation (instance, spec string, or ``None`` for
-        the process default), as in
+        Solver precision (instance, ``"float64"`` / ``"float32"``, or
+        ``None`` for the process default), as in
         :func:`repro.pagerank.solver.power_iteration`.
 
     Notes

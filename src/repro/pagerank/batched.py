@@ -22,7 +22,7 @@ per column from that column's own dangling distribution.
 The inner loop runs on the allocation-free mat-mat kernels of the
 selected :class:`~repro.pagerank.backends.SolverBackend`: the iterate
 block, the scratch block and the per-column accumulators are
-preallocated once (in the backend's dtype — the float32 mode halves
+preallocated once (in the solver's dtype — the float32 mode halves
 the block traffic too).
 
 Per-column damping is supported (``dampings=``) so a damping sweep is
@@ -154,8 +154,8 @@ def batched_power_iteration(
         ``settings.damping`` (used by damping sweeps); every value must
         lie in (0, 1).
     backend:
-        Kernel implementation (instance, spec string, or ``None`` for
-        the process default), as in
+        Solver precision (instance, ``"float64"`` / ``"float32"``, or
+        ``None`` for the process default), as in
         :func:`repro.pagerank.solver.power_iteration`.
 
     Returns
@@ -210,8 +210,8 @@ def batched_power_iteration(
     prepared = backend.prepare(transition_t)
     tolerance = backend.effective_tolerance(settings.tolerance, size)
     drift_tolerance = backend.drift_tolerance()
-    # Move the blocks into the backend's domain (row permutation +
-    # dtype); on the reference/float64 backend these are no-op
+    # Move the blocks into the solver's domain (row permutation +
+    # dtype); in float64 these are no-op
     # passthroughs of the validated float64 blocks.
     teleports = prepared.to_backend_block(teleports)
     if dists_are_teleports:

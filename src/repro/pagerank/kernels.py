@@ -26,14 +26,11 @@ step as in-place kernels over preallocated buffers:
 Everything here is pure arithmetic: validation, convergence policy and
 result packaging stay in :mod:`repro.pagerank.solver` and friends.
 
-Since the backend refactor these functions double as the **reference
-backend** (:mod:`repro.pagerank.backends.reference`): the convergence
-driver :func:`run_power_loop` dispatches each sweep through a
-:class:`~repro.pagerank.backends.SolverBackend`, with the scipy
-kernels below as the always-available default and the optional numba
-backend as the compiled, GIL-free alternative.  The kernels are
-dtype-generic — ``_sparsetools`` dispatches on the array dtypes — so
-the same code serves the float32 score mode.
+The convergence loop :func:`run_power_loop` dispatches each sweep
+through a :class:`~repro.pagerank.backends.SolverBackend`, which runs
+the kernels below.  They are dtype-generic — ``_sparsetools``
+dispatches on the array dtypes — so the same code serves the float32
+score mode.
 """
 
 from __future__ import annotations
@@ -138,9 +135,9 @@ def csr_matmat_dense_accumulate(
 class PowerIterationWorkspace:
     """Preallocated buffers for one single-vector power iteration.
 
-    A workspace is tied to a problem size ``n`` (and, since the
-    backend refactor, a score dtype — float64 by default, float32 for
-    the reduced-precision backends); reusing it across repeated solves
+    A workspace is tied to a problem size ``n`` and a score dtype
+    (float64 by default, float32 for the reduced-precision mode);
+    reusing it across repeated solves
     on the same graph makes the steady state of the solver
     allocation-free.  The buffers:
 
@@ -292,13 +289,13 @@ def run_power_loop(
     return it holds the final iterate.  Returns ``(iterations,
     residual, converged)``.
 
-    ``backend`` selects the kernel implementation
-    (:class:`~repro.pagerank.backends.SolverBackend`); ``None`` means
-    the process default.  Every array argument must already live in the
-    backend's domain (dtype and layout) — the solver layer handles
-    that via :meth:`~repro.pagerank.backends.SolverBackend.prepare`.
-    On the default reference/float64 backend this function performs
-    exactly the historical in-place step, bit for bit.
+    ``backend`` is the :class:`~repro.pagerank.backends.SolverBackend`
+    whose precision the sweep runs in; ``None`` means the process
+    default.  Every array argument must already live in the solver's
+    domain (dtype and layout) — the solver layer handles that via
+    :meth:`~repro.pagerank.backends.SolverBackend.prepare`.  In float64
+    this function performs exactly the historical in-place step, bit
+    for bit.
 
     Guards (both off by default; the solver layer enables them):
 

@@ -170,7 +170,7 @@ def power_iteration(
     passed through :meth:`~repro.pagerank.backends.SolverBackend.prepare`
     (dtype cast, optional cache-aware relabeling — memoised per
     matrix), and results are always returned as float64 in original
-    node order regardless of the backend's internal domain.
+    node order regardless of the solver's internal domain.
 
     Parameters
     ----------
@@ -194,13 +194,13 @@ def power_iteration(
         :class:`~repro.pagerank.kernels.PowerIterationWorkspace` of the
         right size; pass one when solving repeatedly on the same graph
         so the steady state allocates nothing.  Its dtype must match
-        the backend's; a mismatched workspace is ignored (a private
+        the solver's; a mismatched workspace is ignored (a private
         one is allocated) rather than clobbered with casts.
     backend:
-        Kernel implementation: a
-        :class:`~repro.pagerank.backends.SolverBackend` instance, a
-        spec string (``"reference"``, ``"numba:float32"``, ...) or
-        ``None`` for the process default (``REPRO_BACKEND``).
+        Solver precision: a
+        :class:`~repro.pagerank.backends.SolverBackend` instance,
+        ``"float64"`` / ``"float32"``, or ``None`` for the process
+        default (``REPRO_DTYPE``).
 
     Returns
     -------
@@ -249,7 +249,7 @@ def power_iteration(
             f"workspace is sized for {workspace.size}, problem is {size}"
         )
     if workspace is not None and workspace.dtype != prepared.dtype:
-        # Caller-owned buffers in the wrong precision for this backend:
+        # Caller-owned buffers in the wrong precision for this solve:
         # solve in a private workspace rather than clobbering them.
         workspace = None
         caller_workspace = False

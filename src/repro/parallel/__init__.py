@@ -14,11 +14,7 @@ This package turns that observation into a multi-core batch engine:
   (ApproxRank or any of the paper's baselines) across a
   ``ProcessPoolExecutor`` with chunked scheduling, deterministic
   result ordering, per-worker reuse of the precomputed global pass,
-  and a serial fallback that produces bit-identical scores;
-* :func:`~repro.parallel.threads.rank_many_threaded` runs the same
-  solves on plain threads — zero-copy sharing of graph, caches and
-  the global pass — which turns into real multi-core parallelism on
-  GIL-free solver backends (the numba backend's ``nogil`` kernels).
+  and a serial fallback that produces bit-identical scores.
 
 The executor is fault tolerant: infrastructure failures (killed
 workers, hung chunks, vanished segments) are retried under a
@@ -40,7 +36,6 @@ from repro.parallel.shm import (
     attach_shared_graph,
     shared_memory_available,
 )
-from repro.parallel.threads import rank_many_threaded
 
 __all__ = [
     "PARALLEL_ALGORITHMS",
@@ -50,6 +45,5 @@ __all__ = [
     "attach_shared_graph",
     "rank_many",
     "rank_many_suite",
-    "rank_many_threaded",
     "shared_memory_available",
 ]

@@ -1,30 +1,16 @@
-"""Solver-backend benchmark: reference vs compiled, float64 vs float32.
+"""Solver-precision benchmark: float64 vs float32.
 
 The measurement harness behind ``benchmarks/bench_backends.py`` and the
-``python -m repro bench-backends`` CLI subcommand.  It sweeps the
-pluggable solver backends (:mod:`repro.pagerank.backends`) over one
-AU-like reference workload:
+``python -m repro bench-backends`` CLI subcommand.  It runs a full
+global PageRank solve on one AU-like reference workload in each solver
+precision (:mod:`repro.pagerank.backends`): ``float64`` (the baseline,
+original layout) and ``float32`` (degree-ordered layout).  Each cell
+reports wall-clock, speedup vs the baseline and the L1 distance of its
+scores from the baseline's.
 
-* **single-solve sweep** — a full global PageRank solve on every
-  (backend, dtype) cell: ``reference/float64`` (the baseline),
-  ``reference/float32``, ``numba/float64``, ``numba/float32``.  Each
-  cell reports wall-clock, speedup vs the baseline and the L1 distance
-  of its scores from the baseline's.
-* **thread sweep** — :func:`repro.parallel.rank_many_threaded` over
-  the 12 named DS domains at 1/2/4 threads (capped at
-  ``os.cpu_count()``; skipped counts are recorded, not silently
-  dropped), on the best available backend.
-* **accuracy gates** — ``numba/float64`` must agree with the
-  reference to ≤ :data:`NUMBA_F64_L1_GATE` L1 (same per-row
-  accumulation order; only the parallel reductions reorder), and every
-  float32 cell must land within the documented
-  :func:`repro.pagerank.backends.float32_l1_bound`.
-
-Gate semantics mirror ``BENCH_parallel.json``: clauses the environment
-cannot exercise are **waived and recorded** (``waivers`` in the JSON)
-rather than failed — numba absent waives the compiled cells and the
-compiled-speedup clause, a single-core box waives thread scaling.  The
-record is written to ``BENCH_backend.json``.
+The gate is accuracy: the float32 cell must land within the documented
+:func:`repro.pagerank.backends.float32_l1_bound`.  The speedup is
+recorded, not gated.  The record is written to ``BENCH_backend.json``.
 """
 
 from __future__ import annotations
@@ -36,11 +22,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.generators.datasets import AU_NAMED_DOMAINS, make_au_like
+from repro.generators.datasets import make_au_like
 from repro.pagerank.backends import (
-    available_backends,
+    DTYPES,
     float32_l1_bound,
-    get_backend,
+    resolve_backend,
 )
 from repro.pagerank.kernels import PowerIterationWorkspace
 from repro.pagerank.solver import (
@@ -48,9 +34,7 @@ from repro.pagerank.solver import (
     power_iteration,
     uniform_teleport,
 )
-from repro.parallel import rank_many_threaded
 from repro.perf.cache import TransitionCache
-from repro.subgraphs.domain import domain_subgraph
 
 #: Default record location (repo root when run from the checkout).
 DEFAULT_OUTPUT = "BENCH_backend.json"
@@ -58,26 +42,6 @@ DEFAULT_OUTPUT = "BENCH_backend.json"
 #: Reference workload sizes (pages in the AU-like dataset).
 FULL_PAGES = 30_000
 SMOKE_PAGES = 4_000
-
-#: The (backend, dtype) cells of the single-solve sweep; the first is
-#: the baseline every other cell is compared against.
-BACKEND_CELLS: tuple[tuple[str, str], ...] = (
-    ("reference", "float64"),
-    ("reference", "float32"),
-    ("numba", "float64"),
-    ("numba", "float32"),
-)
-
-#: Thread counts swept through ``rank_many_threaded``.
-THREAD_SWEEP = (1, 2, 4)
-
-#: Hard L1 agreement required of numba/float64 vs the reference.
-NUMBA_F64_L1_GATE = 1e-12
-
-#: Wall-clock targets (recorded; enforced only when the environment
-#: can exercise them — see the waiver semantics above).
-TARGET_COMPILED_SPEEDUP = 1.5
-TARGET_THREAD_SPEEDUP = 1.5
 
 #: Timed repetitions per configuration; the best run is reported.
 TIMING_REPS = 3
@@ -89,14 +53,12 @@ def run_backend_benchmark(
     seed: int = 2009,
     output_path: str | None = DEFAULT_OUTPUT,
 ) -> dict[str, Any]:
-    """Run the backend sweep and (optionally) write the record.
+    """Run the precision sweep and (optionally) write the record.
 
     Parameters
     ----------
     smoke:
-        Small workload + hard gate: ``gate_passed`` is the CI
-        criterion (accuracy always; speedups when the environment has
-        the cores/compiler to exercise them).
+        Small workload; ``gate_passed`` is the CI criterion.
     pages:
         Override the AU-like dataset size.
     seed:
@@ -117,9 +79,6 @@ def run_backend_benchmark(
     cache = TransitionCache()
     transition_t, dangling_mask = cache.transition_transpose(graph)
     teleport = uniform_teleport(graph.num_nodes)
-    cpu_count = os.cpu_count() or 1
-    availability = available_backends()
-    waivers: list[dict[str, str]] = []
 
     def timed_solve(backend):
         workspace = PowerIterationWorkspace(
@@ -128,16 +87,8 @@ def run_backend_benchmark(
         outcome = None
         best = float("inf")
         # One untimed warm-up absorbs first-call costs (prepare:
-        # dtype cast / relabel, and for numba the JIT compilation).
-        power_iteration(
-            transition_t,
-            teleport,
-            dangling_mask=dangling_mask,
-            settings=settings,
-            workspace=workspace,
-            backend=backend,
-        )
-        for __ in range(TIMING_REPS):
+        # dtype cast / relabel).
+        for rep in range(TIMING_REPS + 1):
             start = time.perf_counter()
             outcome = power_iteration(
                 transition_t,
@@ -147,44 +98,30 @@ def run_backend_benchmark(
                 workspace=workspace,
                 backend=backend,
             )
-            best = min(best, time.perf_counter() - start)
+            if rep:
+                best = min(best, time.perf_counter() - start)
         return best, outcome
 
-    # --- single-solve sweep ------------------------------------------
     baseline_seconds = None
     baseline_scores = None
     cells: list[dict[str, Any]] = []
     accuracy_ok = True
-    best_compiled_speedup = 0.0
-    for name, dtype in BACKEND_CELLS:
-        if not availability.get(name, False):
-            cells.append(
-                {
-                    "backend": name,
-                    "dtype": dtype,
-                    "skipped": True,
-                    "reason": f"backend {name!r} unavailable "
-                    f"(optional dependency not installed)",
-                }
-            )
-            continue
-        backend = get_backend(name, dtype=dtype)
+    for dtype in DTYPES:
+        backend = resolve_backend(dtype)
         seconds, outcome = timed_solve(backend)
         if baseline_scores is None:
             baseline_seconds, baseline_scores = seconds, outcome.scores
         l1_gap = float(np.abs(outcome.scores - baseline_scores).sum())
         cell: dict[str, Any] = {
-            "backend": name,
             "dtype": dtype,
             "layout": backend.layout,
-            "skipped": False,
             "seconds": seconds,
             "iterations": int(outcome.iterations),
             "converged": bool(outcome.converged),
-            "speedup_vs_reference_f64": (
+            "speedup_vs_float64": (
                 baseline_seconds / seconds if seconds else float("inf")
             ),
-            "l1_vs_reference_f64": l1_gap,
+            "l1_vs_float64": l1_gap,
         }
         if dtype == "float32":
             bound = float32_l1_bound(
@@ -193,131 +130,23 @@ def run_backend_benchmark(
             cell["l1_bound"] = bound
             cell["within_bound"] = bool(l1_gap <= bound)
             accuracy_ok = accuracy_ok and cell["within_bound"]
-        elif name == "numba":
-            cell["l1_gate"] = NUMBA_F64_L1_GATE
-            cell["within_gate"] = bool(l1_gap <= NUMBA_F64_L1_GATE)
-            accuracy_ok = accuracy_ok and cell["within_gate"]
-        if name != "reference" and dtype == "float64":
-            best_compiled_speedup = max(
-                best_compiled_speedup, cell["speedup_vs_reference_f64"]
-            )
         cells.append(cell)
 
-    # --- thread sweep -------------------------------------------------
-    sweep_backend = "numba" if availability.get("numba") else "reference"
-    subgraphs = [
-        (domain, domain_subgraph(dataset, domain))
-        for domain, __ in AU_NAMED_DOMAINS
-    ]
-    skipped_thread_counts = sorted(
-        {int(t) for t in THREAD_SWEEP if t > cpu_count}
-    )
-    thread_counts = tuple(t for t in THREAD_SWEEP if t <= cpu_count)
-
-    def timed_threads(count: int):
-        best = float("inf")
-        scores = None
-        for __ in range(TIMING_REPS):
-            start = time.perf_counter()
-            scores = rank_many_threaded(
-                graph,
-                subgraphs,
-                algorithm="approxrank",
-                settings=settings,
-                threads=count,
-                backend=sweep_backend,
-            )
-            best = min(best, time.perf_counter() - start)
-        return best, scores
-
-    timed_threads(1)  # warm the shared caches / compiled kernels
-    serial_seconds, serial_scores = timed_threads(1)
-    thread_sweep: list[dict[str, Any]] = []
-    threads_exact = True
-    best_thread_speedup = 0.0
-    for count in thread_counts:
-        if count == 1:
-            seconds, scores = serial_seconds, serial_scores
-        else:
-            seconds, scores = timed_threads(count)
-        exact = all(
-            np.array_equal(a.scores, b.scores)
-            for a, b in zip(scores, serial_scores)
-        )
-        threads_exact = threads_exact and exact
-        speedup = serial_seconds / seconds if seconds else float("inf")
-        if count > 1:
-            best_thread_speedup = max(best_thread_speedup, speedup)
-        thread_sweep.append(
-            {
-                "threads": count,
-                "seconds": seconds,
-                "speedup_vs_serial": speedup,
-                "exact_match_vs_serial": bool(exact),
-            }
-        )
-
-    # --- gates and waivers --------------------------------------------
-    if not availability.get("numba"):
-        waivers.append(
-            {
-                "gate": "compiled_speedup",
-                "reason": "numba not installed; compiled cells skipped",
-            }
-        )
-        compiled_ok = True
-    else:
-        compiled_ok = best_compiled_speedup > 1.0
-    if cpu_count < 2:
-        waivers.append(
-            {
-                "gate": "thread_scaling",
-                "reason": f"single-core machine (cpu_count={cpu_count})",
-            }
-        )
-        thread_ok = True
-    elif not availability.get("numba"):
-        waivers.append(
-            {
-                "gate": "thread_scaling",
-                "reason": "reference backend holds the GIL; threads "
-                "cannot scale without the numba backend",
-            }
-        )
-        thread_ok = True
-    else:
-        thread_ok = best_thread_speedup > 1.0
-
-    gate_passed = bool(
-        accuracy_ok and threads_exact and compiled_ok and thread_ok
-    )
     record: dict[str, Any] = {
         "benchmark": "solver_backends",
         "created_unix": time.time(),
         "smoke": bool(smoke),
-        "cpu_count": int(cpu_count),
-        "backends_available": availability,
+        "cpu_count": int(os.cpu_count() or 1),
         "workload": {
             "dataset": dataset.name,
             "pages": int(graph.num_nodes),
             "edges": int(graph.num_edges),
-            "subgraphs": len(subgraphs),
             "seed": int(seed),
             "damping": settings.damping,
             "tolerance": settings.tolerance,
         },
         "single_solve": cells,
-        "thread_backend": sweep_backend,
-        "thread_sweep": thread_sweep,
-        "skipped_thread_counts": skipped_thread_counts,
-        "target_compiled_speedup": TARGET_COMPILED_SPEEDUP,
-        "target_thread_speedup": TARGET_THREAD_SPEEDUP,
-        "best_compiled_speedup": best_compiled_speedup,
-        "best_thread_speedup": best_thread_speedup,
-        "accuracy_ok": bool(accuracy_ok),
-        "threads_exact": bool(threads_exact),
-        "waivers": waivers,
-        "gate_passed": gate_passed,
+        "gate_passed": bool(accuracy_ok),
     }
     if output_path is not None:
         with open(output_path, "w", encoding="utf-8") as handle:
@@ -330,49 +159,23 @@ def format_backend_summary(record: dict[str, Any]) -> str:
     """Human-readable one-screen summary of a benchmark record."""
     workload = record["workload"]
     lines = [
-        f"solver backend benchmark "
+        f"solver precision benchmark "
         f"({workload['pages']} pages, {workload['edges']} edges, "
         f"{record['cpu_count']} cpu(s)"
         f"{', smoke' if record['smoke'] else ''})",
     ]
     for cell in record["single_solve"]:
-        label = f"{cell['backend']}/{cell['dtype']}"
-        if cell.get("skipped"):
-            lines.append(f"  {label:<18}: skipped — {cell['reason']}")
-            continue
         line = (
-            f"  {label:<18}: {cell['seconds']:.3f}s "
-            f"({cell['speedup_vs_reference_f64']:.2f}x vs baseline, "
-            f"L1 gap {cell['l1_vs_reference_f64']:.2e}"
+            f"  {cell['dtype']:<8}: {cell['seconds']:.3f}s "
+            f"({cell['speedup_vs_float64']:.2f}x vs float64, "
+            f"L1 gap {cell['l1_vs_float64']:.2e}"
         )
         if "within_bound" in cell:
             line += (
                 f", bound {cell['l1_bound']:.2e} "
                 f"{'OK' if cell['within_bound'] else 'EXCEEDED'}"
             )
-        if "within_gate" in cell:
-            line += (
-                f", gate {cell['l1_gate']:.0e} "
-                f"{'OK' if cell['within_gate'] else 'EXCEEDED'}"
-            )
         lines.append(line + ")")
-    lines.append(
-        f"  threads ({record['thread_backend']} backend):"
-    )
-    for entry in record["thread_sweep"]:
-        lines.append(
-            f"    threads={entry['threads']}: {entry['seconds']:.3f}s "
-            f"({entry['speedup_vs_serial']:.2f}x vs serial, "
-            f"exact={'yes' if entry['exact_match_vs_serial'] else 'NO'})"
-        )
-    skipped = record.get("skipped_thread_counts") or []
-    if skipped:
-        lines.append(
-            f"    skipped: threads {skipped} "
-            f"(> {record['cpu_count']} cpu(s))"
-        )
-    for waiver in record["waivers"]:
-        lines.append(f"  waived  : {waiver['gate']} — {waiver['reason']}")
     lines.append(
         f"  gate    : {'PASS' if record['gate_passed'] else 'FAIL'}"
     )

@@ -96,7 +96,7 @@ def _truncation_slack(
     """Combined truncation slack of two converged regional solves.
 
     Each solve stops within ``tol/(1−ε)`` L1 of the fixed point; a
-    float32 backend adds its documented roundoff clamp per solve.
+    float32 solver adds its documented roundoff clamp per solve.
     """
     slack = 2.0 * tolerance / (1.0 - damping)
     backend = resolve_backend(None)
@@ -264,7 +264,7 @@ def run_update_benchmark(
         "edges_removed": EDGES_REMOVED,
         "solver_tolerance": BENCH_TOLERANCE,
         "damping": damping,
-        "backend": backend.describe(),
+        "backend": backend.dtype.name,
         "warm": {
             "rerank_seconds": warm_seconds,
             "updates_per_second": (

@@ -81,8 +81,8 @@ class UpdateResult:
         fresh global solve: ``ε/(1−ε)·delta_e_bound`` plus solver
         truncation (see module docs).  Zero for an empty update.
     backend:
-        ``name/dtype`` of the solver backend that ran the regional
-        solve (empty for the no-solve shortcut).
+        dtype of the solver that ran the regional solve (empty for
+        the no-solve shortcut).
     """
 
     scores: np.ndarray
@@ -111,7 +111,7 @@ def staleness_charge_bound(
 
     ``ε/(1−ε)`` times the external-drift bound, plus the damped-
     contraction truncation term ``residual/(1−ε)`` and, for float32
-    backends, the documented roundoff clamp.  Every term is an upper
+    solves, the documented roundoff clamp.  Every term is an upper
     bound, so the sum is one too; the serving layer adds charges
     across updates (the triangle inequality keeps the total valid).
     """
@@ -149,13 +149,13 @@ def incremental_rerank(
     settings:
         Solver knobs for the IdealRank solve.
     backend:
-        Solver backend for the regional solve: an instance, a spec
-        string, or ``None`` for the process default — so
-        ``--backend`` / ``--float32`` / ``REPRO_BACKEND`` /
-        ``REPRO_DTYPE`` govern the incremental path exactly as they
-        govern cold solves.  Float32 backends widen the returned
-        ``staleness_charge`` by the documented
-        :func:`~repro.pagerank.backends.float32_l1_bound` clamp.
+        Solver precision for the regional solve: an instance,
+        ``"float64"`` / ``"float32"``, or ``None`` for the process
+        default — so ``--float32`` / ``REPRO_DTYPE`` govern the
+        incremental path exactly as they govern cold solves.  Float32
+        solves widen the returned ``staleness_charge`` by the
+        documented :func:`~repro.pagerank.backends.float32_l1_bound`
+        clamp.
     warm_start:
         Start the regional solve from the spliced old vector
         (default).  ``False`` forces a cold solve — the benchmark's
@@ -281,5 +281,5 @@ def incremental_rerank(
         iterations_saved=saved,
         delta_e_bound=float(delta_e_bound),
         staleness_charge=float(charge),
-        backend=resolved.describe(),
+        backend=resolved.dtype.name,
     )

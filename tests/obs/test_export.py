@@ -416,6 +416,23 @@ class TestRenderReport:
         assert "Recent solves" in report
         assert "tail" in report
 
+    def test_solver_line_renders_from_backend_info_labels(self):
+        # The info gauge carries exactly the /healthz payload as labels;
+        # the sample at 1 is the active solver.
+        from repro.pagerank.backends import backend_info, resolve_backend
+
+        reg = golden_registry()
+        for spec, value in (("float64", 0.0), ("float32", 1.0)):
+            reg.gauge(
+                "repro_solver_backend_info",
+                "Active solver precision",
+                **backend_info(resolve_backend(spec)),
+            ).set(value)
+        lines = render_report(build_snapshot(reg)).splitlines()
+        header = lines.index("Solver iterations (per solve)")
+        assert lines[header + 1] == "  dtype float32 (layout degree)"
+        assert "  dtype float64 (layout none)" not in lines
+
     def test_serve_section_renders_from_serve_metrics(self):
         reg = MetricsRegistry()
         reg.counter(

@@ -1,14 +1,13 @@
-"""Tests for the pluggable solver backends.
+"""Tests for the solver and its float32 switch.
 
 Three load-bearing guarantees:
 
-* **Bit-identity of the default path** — the reference/float64 backend
-  with identity layout must reproduce the pre-backend solver output
-  byte for byte (no drift from the refactor).
-* **Cross-backend agreement** — every installed (backend, dtype) cell
-  must agree with reference/float64: to 1e-12 L1 for float64 cells,
-  and within the documented :func:`float32_l1_bound` for float32
-  cells.  Numba cells skip cleanly when numba is not installed.
+* **Bit-identity of the default path** — the float64 solver with the
+  original layout must reproduce the historical solver output byte for
+  byte.
+* **Cross-precision agreement** — every dtype must agree with float64:
+  to 1e-12 L1 for float64 itself, and within the documented
+  :func:`float32_l1_bound` for float32.
 * **Caller-invisible relabeling** — degree-ordered CSR layouts are an
   internal detail; scores always come back float64 in original node
   order.
@@ -28,18 +27,13 @@ from repro.graph.relabel import (
     restore_vector,
 )
 from repro.pagerank.backends import (
-    BackendUnavailableError,
-    SolverBackend,
-    available_backends,
+    DTYPES,
     backend_info,
     default_backend,
     float32_l1_bound,
-    get_backend,
     resolve_backend,
     set_default_backend,
-    use_backend,
 )
-from repro.pagerank.backends.numba_backend import NUMBA_AVAILABLE
 from repro.pagerank.solver import (
     PowerIterationSettings,
     power_iteration,
@@ -47,20 +41,7 @@ from repro.pagerank.solver import (
 )
 from repro.pagerank.transition import transition_matrix_transpose
 
-ALL_CELLS = [
-    ("reference", "float64"),
-    ("reference", "float32"),
-    ("numba", "float64"),
-    ("numba", "float32"),
-]
-
-
-def cell_backend(name: str, dtype: str) -> SolverBackend:
-    """Resolve one sweep cell, skipping when its backend is absent."""
-    try:
-        return get_backend(name, dtype=dtype)
-    except BackendUnavailableError as exc:
-        pytest.skip(str(exc))
+pytestmark = pytest.mark.backends
 
 
 def solve(graph, backend=None, settings=None):
@@ -74,79 +55,83 @@ def solve(graph, backend=None, settings=None):
     )
 
 
+@pytest.fixture
+def env_default(monkeypatch):
+    """A process default re-read from a patched environment, reset after."""
+    monkeypatch.delenv("REPRO_DTYPE", raising=False)
+    set_default_backend(None)
+    yield monkeypatch
+    set_default_backend(None)
+
+
 class TestRegistry:
-    def test_reference_always_available(self):
-        availability = available_backends()
-        assert availability["reference"] is True
-        assert "numba" in availability
+    """The per-dtype solver instances and ``backend=`` spec parsing."""
 
     def test_get_backend_caches_instances(self):
-        assert get_backend("reference") is get_backend("reference")
-        assert get_backend("reference") is not get_backend(
-            "reference", dtype="float32"
+        assert resolve_backend("float64") is resolve_backend("float64")
+        assert resolve_backend("float64") is not resolve_backend(
+            "float32"
         )
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            get_backend("fortran")
+        with pytest.raises(ValueError, match="'float64' or 'float32'"):
+            resolve_backend("fortran")
 
     def test_spec_resolution(self):
-        backend = resolve_backend("reference:float32")
-        assert backend.name == "reference"
+        backend = resolve_backend("float32")
         assert backend.dtype == np.dtype(np.float32)
 
     def test_bad_dtype_spec_rejected(self):
-        with pytest.raises(ValueError, match="float32/float64"):
-            resolve_backend("reference:float16")
-
-    def test_numba_unavailable_raises_cleanly(self):
-        if NUMBA_AVAILABLE:
-            pytest.skip("numba installed; unavailability path untestable")
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            get_backend("numba")
-
-    def test_auto_spec_always_resolves(self):
-        backend = resolve_backend("auto")
-        assert backend.name == ("numba" if NUMBA_AVAILABLE else "reference")
+        for spec in ("float16", "reference:float32", "f4", "Float64"):
+            with pytest.raises(ValueError, match="backend must be"):
+                resolve_backend(spec)
 
     def test_backend_info_payload(self):
-        info = backend_info(get_backend("reference", dtype="float32"))
-        assert info["backend"] == "reference"
-        assert info["dtype"] == "float32"
-        assert info["numba_available"] is NUMBA_AVAILABLE
+        assert backend_info(resolve_backend("float32")) == {
+            "dtype": "float32",
+            "layout": "degree",
+        }
+        assert backend_info(resolve_backend("float64")) == {
+            "dtype": "float64",
+            "layout": "none",
+        }
 
 
 class TestDefaultSelection:
-    def test_use_backend_restores_previous_default(self):
-        before = default_backend().describe()
-        with use_backend("reference:float32") as active:
-            assert active.dtype == np.dtype(np.float32)
-            assert default_backend() is active
-        assert default_backend().describe() == before
+    def test_set_default_backend_none_resets_to_env(self, env_default):
+        set_default_backend("float32")
+        assert default_backend().dtype == np.dtype(np.float32)
+        set_default_backend(None)
+        assert default_backend().dtype == np.dtype(np.float64)
 
-    def test_set_default_backend_none_resets_to_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_DTYPE", raising=False)
-        with use_backend("reference:float32"):
-            set_default_backend(None)
-            assert default_backend().dtype == np.dtype(np.float64)
+    def test_env_spec_drives_default(self, env_default):
+        env_default.setenv("REPRO_DTYPE", "float32")
+        set_default_backend(None)
+        assert default_backend().dtype == np.dtype(np.float32)
 
-    def test_env_spec_drives_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "reference:float32")
-        with use_backend(None):
-            assert default_backend().dtype == np.dtype(np.float32)
+    @pytest.mark.parametrize(
+        "value", ["foo", " float32", "float32 ", "f4", "single", "d", ""]
+    )
+    def test_env_dtype_outside_the_two_names_rejected(
+        self, env_default, value
+    ):
+        # numpy would parse "f4"/"single"/"d" as aliases and raise
+        # TypeError on garbage; the contract is exactly two names.
+        env_default.setenv("REPRO_DTYPE", value)
+        set_default_backend(None)
+        with pytest.raises(ValueError, match="REPRO_DTYPE"):
+            default_backend()
+        with pytest.raises(ValueError, match="REPRO_DTYPE"):
+            resolve_backend(None)
 
 
 class TestAgreement:
-    """Satellite: parametrized (backend, dtype) agreement sweep."""
+    """Satellite: parametrized per-dtype agreement sweep."""
 
-    @pytest.mark.parametrize("name,dtype", ALL_CELLS)
-    def test_cell_agrees_with_reference_f64(
-        self, name, dtype, messy_graph
-    ):
-        backend = cell_backend(name, dtype)
-        baseline = solve(messy_graph)  # default: reference/float64
-        outcome = solve(messy_graph, backend=backend)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_cell_agrees_with_reference_f64(self, dtype, messy_graph):
+        baseline = solve(messy_graph)  # default: float64
+        outcome = solve(messy_graph, backend=dtype)
         gap = float(np.abs(outcome.scores - baseline.scores).sum())
         if dtype == "float64":
             assert gap <= 1e-12
@@ -159,12 +144,9 @@ class TestAgreement:
             )
             assert gap <= bound
 
-    @pytest.mark.parametrize("name,dtype", ALL_CELLS)
-    def test_scores_are_float64_and_normalised(
-        self, name, dtype, messy_graph
-    ):
-        backend = cell_backend(name, dtype)
-        outcome = solve(messy_graph, backend=backend)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_scores_are_float64_and_normalised(self, dtype, messy_graph):
+        outcome = solve(messy_graph, backend=dtype)
         assert outcome.scores.dtype == np.dtype(np.float64)
         assert outcome.scores.sum() == pytest.approx(1.0, abs=1e-6)
         assert np.all(outcome.scores > 0)
@@ -173,9 +155,7 @@ class TestAgreement:
         self, messy_graph, tight_settings
     ):
         explicit = solve(
-            messy_graph,
-            backend=get_backend("reference"),
-            settings=tight_settings,
+            messy_graph, backend="float64", settings=tight_settings
         )
         implicit = solve(messy_graph, settings=tight_settings)
         assert np.array_equal(explicit.scores, implicit.scores)
@@ -183,8 +163,8 @@ class TestAgreement:
 
 class TestFloat32Mode:
     def test_tolerance_floor_clamps_only_float32(self):
-        f32 = get_backend("reference", dtype="float32")
-        f64 = get_backend("reference")
+        f32 = resolve_backend("float32")
+        f64 = resolve_backend("float64")
         assert f64.effective_tolerance(1e-12, 10_000) == 1e-12
         assert f32.effective_tolerance(1e-12, 10_000) > 1e-12
         assert f32.effective_tolerance(1e-3, 10_000) == 1e-3
@@ -198,7 +178,7 @@ class TestFloat32Mode:
         assert 0 < small <= large
 
     def test_float32_uses_degree_layout(self, messy_graph):
-        backend = get_backend("reference", dtype="float32")
+        backend = resolve_backend("float32")
         transition_t, __ = transition_matrix_transpose(messy_graph)
         prepared = backend.prepare(transition_t)
         assert prepared.perm is not None
@@ -206,7 +186,7 @@ class TestFloat32Mode:
         assert prepared.matrix.dtype == np.dtype(np.float32)
 
     def test_prepare_is_memoised_per_matrix(self, messy_graph):
-        backend = get_backend("reference", dtype="float32")
+        backend = resolve_backend("float32")
         transition_t, __ = transition_matrix_transpose(messy_graph)
         assert backend.prepare(transition_t) is backend.prepare(
             transition_t
@@ -249,7 +229,7 @@ class TestRelabel:
         # back scores indexed by the caller's node ids.
         baseline = solve(messy_graph)
         relabeled = solve(
-            messy_graph, backend=get_backend("reference", dtype="float32")
+            messy_graph, backend=resolve_backend("float32")
         )
         # Same top domain structure: ranking of the clear winners agrees.
         top = np.argsort(baseline.scores)[-5:]

@@ -20,13 +20,13 @@ def record(**overrides):
         "created_unix": 1_700_000_000.0,
         "gate_passed": True,
         "single_solve": [
-            {"backend": "reference", "dtype": "float64", "seconds": 1.0},
-            {"backend": "reference", "dtype": "float32", "seconds": 0.5},
+            {"dtype": "float64", "seconds": 1.0},
+            {"dtype": "float32", "seconds": 0.5},
         ],
-        "thread_sweep": [
-            {"threads": 1, "seconds": 2.0, "speedup_vs_serial": 1.0},
+        "worker_sweep": [
+            {"workers": 1, "seconds": 2.0, "speedup_vs_serial": 1.0},
         ],
-        "best_thread_speedup": 1.0,
+        "best_speedup": 1.0,
     }
     base.update(overrides)
     return base
@@ -46,7 +46,7 @@ class TestClassification:
         report = diff_records(record(), new)
         assert len(report["regressions"]) == 1
         entry = report["regressions"][0]
-        assert entry["metric"] == "single_solve[reference/float64].seconds"
+        assert entry["metric"] == "single_solve[float64].seconds"
         assert entry["change_pct"] == pytest.approx(100.0)
 
     def test_faster_seconds_is_an_improvement(self):
@@ -57,10 +57,10 @@ class TestClassification:
         assert len(report["improvements"]) == 1
 
     def test_lower_speedup_is_a_regression(self):
-        new = record(best_thread_speedup=0.5)
+        new = record(best_speedup=0.5)
         report = diff_records(record(), new)
         assert any(
-            e["metric"] == "best_thread_speedup"
+            e["metric"] == "best_speedup"
             for e in report["regressions"]
         )
 
@@ -155,12 +155,12 @@ class TestStructure:
 
     def test_one_sided_metrics_reported(self):
         new = record()
-        new["thread_sweep"].append(
-            {"threads": 2, "seconds": 1.1, "speedup_vs_serial": 1.8}
+        new["worker_sweep"].append(
+            {"workers": 2, "seconds": 1.1, "speedup_vs_serial": 1.8}
         )
         report = diff_records(record(), new)
         assert any(
-            path.startswith("thread_sweep[threads=2]")
+            path.startswith("worker_sweep[workers=2]")
             for path in report["only_in_new"]
         )
         assert report["only_in_old"] == []

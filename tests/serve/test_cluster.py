@@ -202,6 +202,16 @@ class TestRoutedServing:
         assert health["degraded_shards"] == []
         assert len(health["replicas"]) == 2
 
+    def test_replica_health_reports_solver_backend(self, client):
+        # The router reports the fleet; each shard replica reports the
+        # solver it runs, which is where load generators look.
+        for state in client.healthz()["replicas"].values():
+            replica = RankingClient(*state["address"])
+            assert replica.healthz()["solver_backend"] == {
+                "dtype": "float64",
+                "layout": "none",
+            }
+
     def test_bad_request_passes_through_without_retry(self, client):
         with pytest.raises(ServeRequestError) as excinfo:
             client.rank([10**9])

@@ -76,6 +76,12 @@ class TestEndpoints:
         assert health["graph_edges"] == web.graph.num_edges
         assert health["store"]["entries"] >= 0
 
+    def test_healthz_solver_backend_shape(self, client):
+        assert client.healthz()["solver_backend"] == {
+            "dtype": "float64",
+            "layout": "none",
+        }
+
     def test_rank_bit_identical_to_offline(self, client, web):
         """The served scores ARE the offline ApproxRank scores.
 

@@ -606,25 +606,27 @@ class TestComposedCertificate:
     chained ``apply_update`` charges with no refresher — and checks
     the served ``staleness`` against the measured L1 gap over the
     extended vector (local pages plus Λ) to ``approxrank`` on the
-    graph as it stands after each update.
+    graph as it stands after each update.  The last link is a float32
+    warm refresh, as the service's background refresher runs it when
+    float32 is the process default.
     """
 
     UPDATES = 4
+    SPECS = ["exact", "push:r_max=1e-2", "push:r_max=1e-3"]
+    SETTINGS = PowerIterationSettings(tolerance=1e-12)
+    NODES = np.arange(40, 120, dtype=np.int64)
 
-    @pytest.mark.parametrize("seed", [3, 17, 29])
-    @pytest.mark.parametrize(
-        "spec", ["exact", "push:r_max=1e-2", "push:r_max=1e-3"]
-    )
-    def test_staleness_bounds_l1_gap_after_every_update(self, spec, seed):
-        settings = PowerIterationSettings(tolerance=1e-12)
+    def _chain(self, spec, seed):
+        """Estimate, put, then yield ``(graph, store, engine)`` after
+        each of the k updates."""
+        settings = self.SETTINGS
         graph = random_digraph(400, mean_degree=5.0, seed=seed)
-        nodes = np.arange(40, 120, dtype=np.int64)
         engine = resolve_estimator(spec)
-        estimate = engine.estimate(graph, nodes, settings=settings)
+        estimate = engine.estimate(graph, self.NODES, settings=settings)
         store = ScoreStore(registry=MetricsRegistry())
         store.put(
             graph,
-            nodes,
+            self.NODES,
             settings.damping,
             estimate,
             stale=engine.name != "exact",
@@ -639,13 +641,67 @@ class TestComposedCertificate:
             new_graph = apply_delta(graph, delta)
             store.apply_update(graph, new_graph, delta=delta)
             graph = new_graph
+            yield graph, store, engine
+
+    def _gap_to_truth(self, graph, served):
+        truth = approxrank(graph, self.NODES, self.SETTINGS)
+        return np.abs(served.scores - truth.scores).sum() + abs(
+            served.extras["lambda_score"] - truth.extras["lambda_score"]
+        )
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_staleness_bounds_l1_gap_after_every_update(self, spec, seed):
+        damping = self.SETTINGS.damping
+        for step, (graph, store, engine) in enumerate(
+            self._chain(spec, seed)
+        ):
             hit = store.lookup(
-                graph, nodes, settings.damping, variant=engine.variant
+                graph, self.NODES, damping, variant=engine.variant
             )
             assert hit is not None, f"evicted after update {step}"
-            truth = approxrank(graph, nodes, settings)
-            gap = np.abs(hit.scores.scores - truth.scores).sum() + abs(
-                hit.scores.extras["lambda_score"]
-                - truth.extras["lambda_score"]
-            )
+            gap = self._gap_to_truth(graph, hit.scores)
             assert gap <= hit.staleness, (spec, seed, step)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_float32_refresh_keeps_staleness_sound(self, spec):
+        """After the k updates, refresh the entry the way
+        ``RankingService._refresh_entry_sync`` does with float32 as
+        the process default: warm start from the stale entry, re-put
+        stale with ``(residual + tol)/(1−ε)``.  The float64 answer must
+        stay within the served staleness."""
+        from dataclasses import replace
+
+        from repro.core.precompute import ApproxRankPreprocessor
+        from repro.pagerank.backends import set_default_backend
+
+        damping = self.SETTINGS.damping
+        for seed in (3, 17, 29):
+            *__, (graph, store, engine) = self._chain(spec, seed)
+            old = store.lookup(
+                graph, self.NODES, damping, variant=engine.variant
+            ).scores
+            initial = np.concatenate(
+                [old.scores, [old.extras["lambda_score"]]]
+            )
+            settings = replace(self.SETTINGS, safe_restart=True)
+            set_default_backend("float32")
+            try:
+                fresh = ApproxRankPreprocessor(graph).rank(
+                    self.NODES, settings, initial=initial
+                )
+            finally:
+                set_default_backend(None)
+            store.put(
+                graph,
+                np.asarray(fresh.local_nodes),
+                damping,
+                fresh,
+                stale=True,
+                staleness=(fresh.residual + settings.tolerance)
+                / (1.0 - damping),
+            )
+            hit = store.lookup(graph, self.NODES, damping)
+            assert hit.scores is fresh
+            gap = self._gap_to_truth(graph, hit.scores)
+            assert gap <= hit.staleness, (spec, seed, gap, hit.staleness)

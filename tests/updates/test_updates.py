@@ -379,14 +379,14 @@ class TestWarmStartAndStaleness:
         settings = PowerIterationSettings(tolerance=1e-6)
         wide = incremental_rerank(
             graph, updated, old_truth.scores, delta=delta,
-            settings=settings, backend="reference",
+            settings=settings, backend="float64",
         )
         narrow = incremental_rerank(
             graph, updated, old_truth.scores, delta=delta,
-            settings=settings, backend="reference:float32",
+            settings=settings, backend="float32",
         )
-        assert wide.backend == "reference/float64"
-        assert narrow.backend == "reference/float32"
+        assert wide.backend == "float64"
+        assert narrow.backend == "float32"
         # The float32 path must carry the documented roundoff clamp on
         # top of the shared perturbation + truncation terms.
         assert narrow.staleness_charge > wide.staleness_charge
