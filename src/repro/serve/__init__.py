@@ -13,8 +13,9 @@ Layering, bottom up:
   persist/warm-load and :class:`~repro.updates.delta.GraphDelta`-driven
   invalidation;
 * :mod:`repro.serve.batching` — :class:`RankBatcher`, the
-  micro-batching admission queue that coalesces concurrent cold
-  requests into one batched multi-column solve, with bounded depth
+  group-commit admission queue: a cold request solves at once, and
+  the requests that arrive while its subgraph's solve runs go out
+  together as one batched multi-column solve, with bounded depth
   (503 on overload) and per-request deadlines;
 * :mod:`repro.serve.server` — :class:`RankingService` (the
   transport-free engine) and :class:`RankingServer` (stdlib-asyncio

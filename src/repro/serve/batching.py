@@ -1,18 +1,28 @@
-"""Micro-batching admission control for cold ranking requests.
+"""Group-commit batching and admission control for cold requests.
 
 A burst of concurrent ``/rank`` requests against the same subgraph is
 the serving-side mirror of the multi-vector batch solver (PR 1): K
 walks over one extended matrix cost one sparse mat-mat per iteration
-instead of K mat-vecs.  The :class:`RankBatcher` exploits that by
-holding a cold request for up to ``max_linger_seconds`` (or until
-``max_batch_size`` requests pile up) and flushing the group as **one**
-solve:
+instead of K mat-vecs.  The :class:`RankBatcher` exploits that with
+**group commit**, keyed by (graph fingerprint, subgraph digest):
 
+* a request whose key has no solve in flight flushes at once, as a
+  batch of one — a lone cold request never waits on a timer;
+* a request arriving while its key's solve is in flight joins that
+  key's pending group, which flushes as **one** batched solve when the
+  in-flight solve finishes (or sooner, once it holds
+  ``max_batch_size`` requests);
 * requests with the *same* damping factor are deduplicated
-  (single-flight): one solve column feeds every waiter;
+  (single-flight): a request whose damping matches a column of the
+  in-flight solve joins that solve's waiters, and same-damping
+  requests in a pending group share one column;
 * requests with *distinct* dampings become distinct columns of a
   single batched solve — the group shares one matrix sweep per
   iteration.
+
+Batching therefore costs latency only when it can coalesce: the
+requests it holds back would otherwise queue behind the in-flight
+solve anyway.
 
 Admission control is deliberately unforgiving, in the spirit of the
 resilience layer's deadlines (PR 3):
@@ -57,15 +67,16 @@ BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Knobs of the micro-batching admission queue.
+    """Knobs of the group-commit admission queue.
+
+    A group waits only while a solve for its key is in flight; no
+    timer ever holds a request back.
 
     Attributes
     ----------
     max_batch_size:
-        Flush a group as soon as it holds this many requests.
-    max_linger_seconds:
-        Flush a group this long after its first request even if it is
-        not full — the latency price paid for coalescing.
+        Flush a pending group as soon as it holds this many requests,
+        without waiting for the in-flight solve to finish.
     max_pending:
         Total queued requests (across groups) before new arrivals are
         rejected with :class:`ServiceOverloadedError`.
@@ -78,7 +89,6 @@ class BatchPolicy:
     """
 
     max_batch_size: int = 8
-    max_linger_seconds: float = 0.01
     max_pending: int = 256
     default_deadline_seconds: float = 30.0
     enabled: bool = True
@@ -87,11 +97,6 @@ class BatchPolicy:
         if self.max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.max_linger_seconds < 0:
-            raise ValueError(
-                "max_linger_seconds must be >= 0, got "
-                f"{self.max_linger_seconds}"
             )
         if self.max_pending < 1:
             raise ValueError(
@@ -112,10 +117,18 @@ class _Pending:
 
 
 @dataclass
-class _Group:
+class _Batch:
+    """Requests for one group key, bucketed by damping (one column
+    per bucket): a pending group while queued, then the waiters of its
+    solve once flushed."""
+
     local_nodes: np.ndarray
-    requests: list[_Pending] = field(default_factory=list)
-    timer: asyncio.TimerHandle | None = None
+    waiters: dict[float, list[_Pending]] = field(default_factory=dict)
+    size: int = 0
+
+    def add(self, request: _Pending) -> None:
+        self.waiters.setdefault(request.damping, []).append(request)
+        self.size += 1
 
 
 #: Solve callback: (group_key, local_nodes, dampings) -> one
@@ -155,7 +168,11 @@ class RankBatcher:
         self.policy = policy if policy is not None else BatchPolicy()
         self._executor = executor
         self._registry = registry if registry is not None else REGISTRY
-        self._groups: dict[Hashable, _Group] = {}
+        # Queued behind an in-flight solve, per group key.
+        self._groups: dict[Hashable, _Batch] = {}
+        # The most recently flushed batch per group key, until its
+        # solve finishes.
+        self._solving: dict[Hashable, _Batch] = {}
         self._total_pending = 0
         self._inflight: set[asyncio.Task] = set()
 
@@ -215,25 +232,26 @@ class RankBatcher:
             future=loop.create_future(),
             deadline_at=loop.time() + deadline,
         )
-        group = self._groups.get(group_key)
-        if group is None:
-            group = _Group(local_nodes=local_nodes)
-            self._groups[group_key] = group
-            if self.policy.enabled and self.policy.max_linger_seconds > 0:
-                group.timer = loop.call_later(
-                    self.policy.max_linger_seconds,
-                    self._flush,
-                    group_key,
-                )
-        group.requests.append(request)
-        self._total_pending += 1
-
-        if (
-            not self.policy.enabled
-            or self.policy.max_linger_seconds == 0
-            or len(group.requests) >= self.policy.max_batch_size
-        ):
-            self._flush(group_key)
+        solving = (
+            self._solving.get(group_key) if self.policy.enabled else None
+        )
+        if solving is None:
+            # Nothing to coalesce with: flush at once.
+            batch = _Batch(local_nodes=local_nodes)
+            batch.add(request)
+            self._start(group_key, batch)
+        elif request.damping in solving.waiters:
+            # Single-flight: the in-flight column answers this too.
+            solving.waiters[request.damping].append(request)
+        else:
+            group = self._groups.get(group_key)
+            if group is None:
+                group = _Batch(local_nodes=local_nodes)
+                self._groups[group_key] = group
+            group.add(request)
+            self._total_pending += 1
+            if group.size >= self.policy.max_batch_size:
+                self._flush(group_key)
 
         try:
             # Shield the shared future: one waiter timing out must not
@@ -257,24 +275,40 @@ class RankBatcher:
     # ------------------------------------------------------------------
 
     def _flush(self, group_key: Hashable) -> None:
-        """Detach a group from the queue and start its solve task."""
+        """Detach a pending group from the queue and start its solve."""
         group = self._groups.pop(group_key, None)
         if group is None:
             return
-        if group.timer is not None:
-            group.timer.cancel()
-        self._total_pending -= len(group.requests)
-        loop = asyncio.get_running_loop()
-        task = loop.create_task(self._run_batch(group_key, group))
+        self._total_pending -= group.size
+        self._start(group_key, group)
+
+    def _start(self, group_key: Hashable, batch: _Batch) -> None:
+        self._solving[group_key] = batch
+        task = asyncio.get_running_loop().create_task(
+            self._run_batch(group_key, batch)
+        )
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    async def _run_batch(self, group_key: Hashable, group: _Group) -> None:
+    async def _run_batch(self, group_key: Hashable, batch: _Batch) -> None:
+        try:
+            await self._solve_batch(group_key, batch)
+        finally:
+            if self._solving.get(group_key) is batch:
+                del self._solving[group_key]
+            # Group commit: whatever queued behind this solve goes
+            # out now, as one batch.
+            self._flush(group_key)
+
+    async def _solve_batch(self, group_key: Hashable, batch: _Batch) -> None:
         loop = asyncio.get_running_loop()
         now = loop.time()
-        live: list[_Pending] = []
-        for request in group.requests:
-            if request.deadline_at <= now:
+        for damping, bucket in list(batch.waiters.items()):
+            live: list[_Pending] = []
+            for request in bucket:
+                if request.deadline_at > now:
+                    live.append(request)
+                    continue
                 # Expired while queued: fail it without solving.
                 if not request.future.done():
                     request.future.set_exception(
@@ -288,21 +322,16 @@ class RankBatcher:
                     "Requests refused by admission control, by reason.",
                     reason="expired_in_queue",
                 ).inc()
+            if live:
+                batch.waiters[damping] = live
             else:
-                live.append(request)
-        if not live:
+                del batch.waiters[damping]
+        if not batch.waiters:
             return
 
-        # Single-flight dedup: one solve column per distinct damping.
-        waiters: "dict[float, list[_Pending]]" = {}
-        dampings: list[float] = []
-        for request in live:
-            bucket = waiters.get(request.damping)
-            if bucket is None:
-                waiters[request.damping] = [request]
-                dampings.append(request.damping)
-            else:
-                bucket.append(request)
+        # One solve column per distinct damping; later same-damping
+        # arrivals append to the live buckets while the solve runs.
+        dampings = tuple(batch.waiters)
         self._registry.histogram(
             "repro_serve_batch_size",
             "Distinct solve columns per flushed micro-batch.",
@@ -314,16 +343,17 @@ class RankBatcher:
                 self._executor,
                 self._solve_group,
                 group_key,
-                group.local_nodes,
-                tuple(dampings),
+                batch.local_nodes,
+                dampings,
             )
         except Exception as exc:  # propagate to every waiter
-            for request in live:
-                if not request.future.done():
-                    request.future.set_exception(exc)
+            for bucket in batch.waiters.values():
+                for request in bucket:
+                    if not request.future.done():
+                        request.future.set_exception(exc)
             return
         for damping, scores in zip(dampings, results):
-            for request in waiters[damping]:
+            for request in batch.waiters[damping]:
                 if not request.future.done():
                     request.future.set_result(scores)
 
@@ -331,7 +361,8 @@ class RankBatcher:
         """Flush everything queued and wait for in-flight solves.
 
         Called on graceful shutdown so accepted requests are answered
-        before the server exits.
+        before the server exits; groups queued behind an in-flight
+        solve flush at once rather than waiting for it.
         """
         for group_key in list(self._groups):
             self._flush(group_key)

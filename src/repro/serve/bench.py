@@ -8,7 +8,8 @@ load-generator threads fire simultaneous **cold** ``/rank`` requests
 store) in lock-stepped bursts against a real server socket.  The same
 workload runs twice —
 
-* **batching on**: the admission queue coalesces each burst into one
+* **batching on**: group commit solves a burst's first request at
+  once and coalesces the rest, which arrive while it runs, into one
   multi-column batched solve;
 * **batching off**: every request is its own solve on the same
   single solver thread (the sequential baseline).
@@ -100,7 +101,6 @@ def _run_mode(
     policy = BatchPolicy(
         enabled=enabled,
         max_batch_size=concurrency,
-        max_linger_seconds=0.15,
         max_pending=4 * concurrency,
     )
     service = RankingService(

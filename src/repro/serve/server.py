@@ -153,8 +153,9 @@ class RankingService:
     solver_threads:
         Size of the dedicated solve executor.  One thread is the
         honest default: the solver is CPU-bound, so the batcher's
-        coalescing — not thread oversubscription — is the concurrency
-        mechanism.
+        group commit — requests that arrive while a subgraph's solve
+        runs go out together as one batched solve when it finishes —
+        is the concurrency mechanism, not thread oversubscription.
     registry:
         Metrics registry (the process-wide one by default).
     default_estimator:
@@ -437,7 +438,9 @@ class RankingService:
         state = self._state
         local = normalize_node_set(state.graph, nodes)
         epsilon = self._resolve_damping(damping)
-        hit = self.store.lookup(state.graph, local, epsilon)
+        # Hashed once per request: the store key and the batch key.
+        digest = subgraph_digest(local)
+        hit = self.store.lookup(state.graph, local, epsilon, digest=digest)
         if hit is not None:
             return RankOutcome(
                 scores=hit.scores,
@@ -445,11 +448,10 @@ class RankingService:
                 stale=hit.stale,
                 staleness=hit.staleness,
             )
-        group_key = (state.fingerprint, subgraph_digest(local))
         scores = await self.batcher.submit(
-            group_key, local, epsilon, deadline_seconds
+            (state.fingerprint, digest), local, epsilon, deadline_seconds
         )
-        self.store.put(state.graph, local, epsilon, scores)
+        self.store.put(state.graph, local, epsilon, scores, digest=digest)
         return RankOutcome(scores=scores, cache_hit=False)
 
     async def _rank_estimated(
@@ -473,7 +475,10 @@ class RankingService:
         local = normalize_node_set(state.graph, nodes)
         epsilon = self._resolve_damping(damping)
         variant = engine.variant
-        hit = self.store.lookup(state.graph, local, epsilon, variant)
+        digest = subgraph_digest(local)
+        hit = self.store.lookup(
+            state.graph, local, epsilon, variant, digest=digest
+        )
         if hit is not None:
             return RankOutcome(
                 scores=hit.scores,
@@ -511,6 +516,7 @@ class RankingService:
             stale=True,
             staleness=bound,
             variant=variant,
+            digest=digest,
         )
         return RankOutcome(
             scores=scores,

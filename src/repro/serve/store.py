@@ -114,8 +114,19 @@ def graph_fingerprint(graph: CSRGraph) -> str:
 
 
 def subgraph_digest(local_nodes: Iterable[int]) -> str:
-    """Hex digest identifying a local node set (order-insensitive)."""
-    nodes = np.unique(np.asarray(list(local_nodes), dtype=np.int64))
+    """Hex digest identifying a local node set (order-insensitive).
+
+    The digest is the sha256 of the sorted, deduplicated int64 ids.  A
+    strictly increasing array — what
+    :func:`~repro.graph.subgraph.normalize_node_set` returns — is
+    already in that form and is hashed without re-sorting.
+    """
+    if isinstance(local_nodes, np.ndarray):
+        nodes = local_nodes.astype(np.int64, copy=False).ravel()
+    else:
+        nodes = np.asarray(list(local_nodes), dtype=np.int64).ravel()
+    if not np.all(nodes[1:] > nodes[:-1]):
+        nodes = np.unique(nodes)
     return hashlib.sha256(
         np.ascontiguousarray(nodes).tobytes()
     ).hexdigest()
@@ -327,10 +338,11 @@ class ScoreStore:
         local_nodes: np.ndarray,
         damping: float,
         variant: str = "exact",
+        digest: str | None = None,
     ) -> tuple[str, str, str, str]:
         return (
             fingerprint,
-            subgraph_digest(local_nodes),
+            digest if digest is not None else subgraph_digest(local_nodes),
             _damping_token(damping),
             str(variant),
         )
@@ -360,6 +372,7 @@ class ScoreStore:
         local_nodes: np.ndarray,
         damping: float,
         variant: str = "exact",
+        digest: str | None = None,
     ) -> StoreHit | None:
         """The warm entry plus staleness accounting, or ``None``.
 
@@ -370,9 +383,12 @@ class ScoreStore:
         over-budget entry is *never* served, whatever path charged it.
         ``variant`` scopes the lookup to one estimator family —
         estimated entries can never satisfy an exact request.
+        ``digest`` is ``subgraph_digest(local_nodes)`` when the caller
+        already has it.
         """
         key = self._key(
-            graph_fingerprint(graph), local_nodes, damping, variant
+            graph_fingerprint(graph), local_nodes, damping, variant,
+            digest,
         )
         with self._lock:
             entry = self._entries.get(key)
@@ -411,6 +427,7 @@ class ScoreStore:
         stale: bool = False,
         staleness: float = 0.0,
         variant: str = "exact",
+        digest: str | None = None,
     ) -> None:
         """Insert (or refresh) an entry, evicting LRU beyond capacity.
 
@@ -419,10 +436,11 @@ class ScoreStore:
         bit-identical to a cold solve stays flagged with its bound);
         a default put inserts a fresh, charge-free entry.  Estimated
         scores are stored under their estimator's ``variant`` so they
-        never shadow exact entries.
+        never shadow exact entries.  ``digest`` is as in
+        :meth:`lookup`.
         """
         fingerprint = graph_fingerprint(graph)
-        key = self._key(fingerprint, local_nodes, damping, variant)
+        key = self._key(fingerprint, local_nodes, damping, variant, digest)
         with self._lock:
             self._entries[key] = _Entry(
                 scores=scores,

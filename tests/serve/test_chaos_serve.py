@@ -25,6 +25,8 @@ red run replays exactly under the same spec.  Excluded from tier-1;
 run with ``make chaos-serve``.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,11 @@ pytestmark = [pytest.mark.serve, pytest.mark.chaos_serve]
 
 SETTINGS = PowerIterationSettings(tolerance=1e-9)
 ROUNDS = 3
+
+#: The router's health-probe cadence.  Each round starts by waiting one
+#: interval, so health faults (``flap_health``) meet live traffic no
+#: matter how fast the requests themselves are answered.
+PROBE_INTERVAL = 0.05
 
 #: The fault matrix: every serve-path kind alone, then all at once.
 SCENARIOS = {
@@ -183,7 +190,7 @@ def _run_scenario(web, path, subgraphs, expected):
             backoff_max=0.05, seed=13,
         ),
         attempt_timeout=0.25,
-        probe_interval=0.05,
+        probe_interval=PROBE_INTERVAL,
         probe_timeout=0.2,
         eject_threshold=2,
         breaker_threshold=3,
@@ -193,6 +200,7 @@ def _run_scenario(web, path, subgraphs, expected):
         budget = handle.router.store.staleness_budget
         client = RankingClient(*handle.address, timeout=30.0)
         for __ in range(ROUNDS):
+            time.sleep(PROBE_INTERVAL)
             for index, nodes in enumerate(subgraphs):
                 try:
                     payload = send(client, nodes, QUERIES[index])

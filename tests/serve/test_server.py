@@ -4,13 +4,13 @@ Boots a real :class:`BackgroundServer` (port 0) and drives it through
 :class:`RankingClient`: every endpoint, the error paths, the
 bit-identity pin against the offline solver, burst coalescing, and
 update-driven invalidation (stale-read prevention).  Everything here
-is tier-1: small graph, loose-but-exact assertions, no sleeps beyond
-the batcher's linger.
+is tier-1: small graph, loose-but-exact assertions, no sleeps.
 """
 
 import asyncio
 import logging
 import socket
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -181,14 +181,25 @@ class TestErrorPaths:
         status, _, _, _ = client._request("POST", "/healthz")
         assert status == 405
 
-    def test_expired_deadline_is_503(self, client):
-        # A 1 ms deadline expires inside the batcher's 10 ms linger.
-        with pytest.raises(ServeRequestError) as info:
-            client.rank(
-                list(range(50, 80)),
-                damping=0.65,
-                deadline_seconds=0.001,
-            )
+    def test_expired_deadline_is_503(self, web):
+        # The service's one solver thread is held busy, so the 1 ms
+        # deadline expires before the request's solve can start.
+        service = RankingService(
+            web.graph, settings=SETTINGS, registry=MetricsRegistry()
+        )
+        busy = threading.Event()
+        service._executor.submit(busy.wait, 5.0)
+        with start_background_server(service) as handle:
+            client = RankingClient(*handle.address)
+            try:
+                with pytest.raises(ServeRequestError) as info:
+                    client.rank(
+                        list(range(50, 80)),
+                        damping=0.65,
+                        deadline_seconds=0.001,
+                    )
+            finally:
+                busy.set()
         assert info.value.status == 503
         assert info.value.payload["kind"] == "DeadlineExceededError"
 
@@ -225,15 +236,12 @@ class TestFraming:
 
 class TestCoalescingOverHttp:
     def test_concurrent_burst_becomes_one_batched_solve(self, web):
-        """Eight concurrent cold requests, one multi-column solve."""
-        import threading
-
+        """Eight concurrent cold requests: those that arrive while the
+        first one solves go out together as a multi-column solve."""
         service = RankingService(
             web.graph,
             settings=SETTINGS,
-            policy=BatchPolicy(
-                max_batch_size=8, max_linger_seconds=0.2
-            ),
+            policy=BatchPolicy(max_batch_size=8),
             registry=MetricsRegistry(),
         )
         dampings = [0.60 + i * 0.03 for i in range(8)]

@@ -87,6 +87,25 @@ class TestFingerprints:
         assert forward == shuffled
         assert subgraph_digest([1, 2, 4]) != forward
 
+    def test_subgraph_digest_bytes_pinned(self):
+        # Router placement and persisted store keys depend on these
+        # exact bytes: the sha256 of the sorted, deduplicated int64
+        # ids, whatever form the node set arrives in.
+        canonical = np.arange(0, 2500, 7, dtype=np.int64)
+        messy = list(canonical) + list(canonical[::3])
+        np.random.default_rng(0).shuffle(messy)
+        expected = (
+            "37e93dcbd3bf03f01097e1d69d222612562a569550beeca4ed929ccabfea4ef2"
+        )
+        assert subgraph_digest(canonical) == expected
+        assert subgraph_digest(messy) == expected
+        assert subgraph_digest(np.asarray(messy)) == expected
+        assert subgraph_digest(canonical.astype(np.int32)) == expected
+        assert subgraph_digest(canonical.tolist()) == expected
+        assert subgraph_digest([5, 3, 3, 11, 2]) == (
+            "227930245d2a837b8783552b50cca4234c6f342006ed8fbce8b6add22a02102f"
+        )
+
 
 class TestLruAndTtl:
     def test_miss_then_hit(self, graph, nodes, scores):
