@@ -172,7 +172,12 @@ class SyntheticLexicon:
             for postings in posting_lists[1:]:
                 result = np.intersect1d(result, postings)
             return result
-        return np.unique(np.concatenate(posting_lists))
+        # A page mask is linear in the postings and gives the same
+        # sorted union as np.unique over their concatenation, cheaper.
+        matched = np.zeros(self.num_pages, dtype=bool)
+        for postings in posting_lists:
+            matched[postings] = True
+        return np.flatnonzero(matched)
 
     def document_frequency(self, term: int) -> int:
         """Number of pages containing ``term``."""

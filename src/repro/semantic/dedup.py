@@ -112,10 +112,10 @@ def deduplicate_answers(
     )
     sims = embeddings.pairwise(pages)
     finder = _UnionFind(pages.size)
-    upper_i, upper_j = np.triu_indices(pages.size, k=1)
+    # Row-major over the strict upper triangle, as a pair loop would.
+    upper_i, upper_j = np.nonzero(np.triu(sims >= tau, k=1))
     for i, j in zip(upper_i.tolist(), upper_j.tolist()):
-        if sims[i, j] >= tau:
-            finder.union(i, j)
+        finder.union(i, j)
 
     groups: dict[int, list[int]] = {}
     for index in range(pages.size):

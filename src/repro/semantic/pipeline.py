@@ -99,7 +99,13 @@ class SemanticHit:
 
 @dataclass(frozen=True)
 class SemanticSelection:
-    """A query's selected neighborhood plus selection accounting."""
+    """A query's selected neighborhood plus selection accounting.
+
+    ``similarities`` holds the cosine of each neighborhood page
+    against the query, aligned with ``nodes`` — all that
+    :meth:`SemanticPipeline.finish` reads, so a cached selection
+    costs the neighborhood, not the corpus.
+    """
 
     nodes: np.ndarray
     retrieval: Retrieval
@@ -214,21 +220,34 @@ class SemanticPipeline:
             seed=self.embeddings.seed,
         )
 
-    def select(self, terms: Iterable[int]) -> SemanticSelection:
-        """Select the query's semantic neighborhood ``G_l``."""
+    def select(
+        self,
+        terms: Iterable[int],
+        query_digest: str | None = None,
+    ) -> SemanticSelection:
+        """Select the query's semantic neighborhood ``G_l``.
+
+        The query is embedded and scored against the corpus once;
+        that one cosine vector both ranks the seeds and classifies
+        which pages the crawl expands.  ``query_digest`` is
+        :meth:`query_digest` of ``terms`` when the caller already
+        holds it (computed here when omitted).
+        """
         term_list = [int(t) for t in terms]
+        similarities = self.embeddings.similarities(
+            self.embeddings.embed_terms(term_list)
+        )
         retrieval = self.retriever.retrieve(
             term_list,
             m=self.top_m,
             min_similarity=self.similarity_threshold,
+            similarities=similarities,
         )
         if retrieval.pages.size == 0:
             raise DatasetError(
                 "query matched no pages above similarity "
                 f"{self.similarity_threshold}"
             )
-        query = self.embeddings.embed_terms(term_list)
-        similarities = self.embeddings.similarities(query)
         nodes = expand_neighborhood(
             self.graph,
             retrieval.pages,
@@ -236,11 +255,13 @@ class SemanticPipeline:
             self.similarity_threshold,
             max_hops=self.max_hops,
         )
+        if query_digest is None:
+            query_digest = self.query_digest(term_list)
         return SemanticSelection(
             nodes=nodes,
             retrieval=retrieval,
-            similarities=similarities,
-            query_digest=self.query_digest(term_list),
+            similarities=similarities[nodes],
+            query_digest=query_digest,
         )
 
     # ------------------------------------------------------------------
@@ -262,30 +283,34 @@ class SemanticPipeline:
             selection.nodes.size,
         )
         ranked = scores.ranking()[:pool_size]
+        pool_scores = scores.scores[
+            np.searchsorted(scores.local_nodes, ranked)
+        ]
         pool = [
-            SearchHit(
-                page=int(page),
-                score=float(scores.score_of(int(page))),
-                rank=rank,
+            SearchHit(page=page, score=score, rank=rank)
+            for rank, (page, score) in enumerate(
+                zip(ranked.tolist(), pool_scores.tolist()), start=1
             )
-            for rank, page in enumerate(ranked, start=1)
         ]
         dedup = deduplicate_answers(
             pool, self.embeddings, tau=self.tau
         )
+        kept = dedup.hits[:k]
+        similarities = selection.similarities[
+            np.searchsorted(selection.nodes, [hit.page for hit in kept])
+        ]
         hits = tuple(
             SemanticHit(
                 page=hit.page,
                 score=hit.score,
                 rank=rank,
-                similarity=float(
-                    selection.similarities[hit.page]
-                ),
+                similarity=similarity,
                 cluster_size=len(cluster.members),
                 merged_score=cluster.merged_score,
             )
-            for rank, (hit, cluster) in enumerate(
-                zip(dedup.hits[:k], dedup.clusters[:k]), start=1
+            for rank, (hit, similarity, cluster) in enumerate(
+                zip(kept, similarities.tolist(), dedup.clusters),
+                start=1,
             )
         )
         estimated = estimator_name != "exact"

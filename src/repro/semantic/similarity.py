@@ -2,11 +2,12 @@
 
 The retriever answers "which pages are most like this query" — the
 selection stage of the semantic pipeline.  Scoring is one vectorized
-sparse mat-vec against the :class:`~repro.semantic.embeddings
-.PageEmbeddings` matrix; when a lexicon is attached, its inverted
-index prunes the candidate set to pages sharing at least one query
-term first (signed feature hashing makes collision-only similarity
-pure noise, so pruning both saves work and de-noises the tail).
+sparse mat-vec over the whole :class:`~repro.semantic.embeddings
+.PageEmbeddings` matrix, which the caller may compute once and share
+with the neighborhood crawl; when a lexicon is attached, its inverted
+index restricts the answers to pages sharing at least one query term
+(signed feature hashing makes collision-only similarity pure noise,
+so pruning de-noises the tail).
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ class Retrieval:
         Cosine of each retrieved page against the query, aligned
         with ``pages``.
     candidates:
-        How many pages were actually scored.
+        How many pages competed for the Top-M (those sharing a query
+        term when pruning, else every page).
     pruned:
-        How many pages the inverted index skipped
+        How many pages the inverted index ruled out
         (``num_pages - candidates``; 0 without pruning).
     """
 
@@ -56,7 +58,7 @@ class SemanticRetriever:
         The page vectors to score against.
     lexicon:
         Optional term index of the same pages; enables candidate
-        pruning (pages sharing no query term are never scored).
+        pruning (pages sharing no query term are never retrieved).
     """
 
     def __init__(
@@ -86,6 +88,7 @@ class SemanticRetriever:
         m: int = 20,
         min_similarity: float = 0.0,
         prune: bool | None = None,
+        similarities: np.ndarray | None = None,
     ) -> Retrieval:
         """The ``m`` pages most similar to the query, best first.
 
@@ -103,6 +106,13 @@ class SemanticRetriever:
             Force the inverted-index candidate pruning on/off;
             ``None`` (default) prunes whenever a lexicon is
             attached.
+        similarities:
+            The query's cosine against *every* page
+            (``embeddings.similarities(embeddings.embed_terms(terms))``),
+            when the caller already holds it; computed here when
+            omitted.  Candidates read their cosines from it, which is
+            bit-identical to scoring their rows alone (a row slice
+            keeps each row's summation order).
 
         Returns a :class:`Retrieval`; ordering is deterministic
         (descending similarity, then ascending page id).
@@ -110,7 +120,6 @@ class SemanticRetriever:
         if m < 1:
             raise DatasetError(f"m must be >= 1, got {m}")
         term_list = [int(t) for t in terms]
-        query = self._embeddings.embed_terms(term_list)
         use_index = (
             self._lexicon is not None if prune is None else bool(prune)
         )
@@ -119,14 +128,23 @@ class SemanticRetriever:
                 "candidate pruning needs a lexicon, none was attached"
             )
         num_pages = self._embeddings.num_pages
+        if similarities is None:
+            similarities = self._embeddings.similarities(
+                self._embeddings.embed_terms(term_list)
+            )
+        elif similarities.shape != (num_pages,):
+            raise DatasetError(
+                "similarities must cover every page, expected shape "
+                f"({num_pages},), got {similarities.shape}"
+            )
         if use_index:
             candidates = self._lexicon.pages_matching(
                 term_list, mode="any"
             )
-            sims = self._embeddings.similarities(query, candidates)
+            sims = similarities[candidates]
         else:
             candidates = np.arange(num_pages, dtype=np.int64)
-            sims = self._embeddings.similarities(query)
+            sims = similarities
         floor = max(float(min_similarity), 0.0)
         keep = sims > floor if floor == 0.0 else sims >= floor
         pages, sims = candidates[keep], sims[keep]

@@ -104,16 +104,20 @@ def semantic_subgraph(
         )
     if max_hops < 0:
         raise SubgraphError(f"max_hops must be >= 0, got {max_hops}")
+    term_list = [int(t) for t in terms]
+    embeddings = retriever.embeddings
+    all_sims = embeddings.similarities(embeddings.embed_terms(term_list))
     retrieval = retriever.retrieve(
-        terms, m=top_m, min_similarity=similarity_threshold
+        term_list,
+        m=top_m,
+        min_similarity=similarity_threshold,
+        similarities=all_sims,
     )
     if retrieval.pages.size == 0:
         raise SubgraphError(
             "query matched no pages above similarity "
             f"{similarity_threshold}"
         )
-    query = retriever.embeddings.embed_terms(terms)
-    all_sims = retriever.embeddings.similarities(query)
     return expand_neighborhood(
         graph,
         retrieval.pages,

@@ -229,7 +229,9 @@ class RankingService:
         # neighborhood.  The query digest is the semantic analogue of
         # the subgraph digest — same digest, same G_l — so repeated
         # queries skip the embed/select stage entirely (the rank
-        # stage below it caches in the ScoreStore as usual).
+        # stage below it caches in the ScoreStore as usual).  An
+        # entry holds the neighborhood's cosines only, not a vector
+        # over every page.
         self._semantic_selections: dict[
             tuple[str, str], SemanticSelection
         ] = {}
@@ -573,14 +575,15 @@ class RankingService:
         pipeline = self._require_semantic()
         term_list = [int(t) for t in terms]
         state = self._state
-        key = (state.fingerprint, pipeline.query_digest(term_list))
+        digest = pipeline.query_digest(term_list)
+        key = (state.fingerprint, digest)
         with self._semantic_lock:
             selection = self._semantic_selections.get(key)
         if selection is None:
             loop = asyncio.get_running_loop()
             selection = await loop.run_in_executor(
                 self._executor,
-                lambda: pipeline.select(term_list),
+                lambda: pipeline.select(term_list, query_digest=digest),
             )
             with self._semantic_lock:
                 if len(self._semantic_selections) >= 1024:

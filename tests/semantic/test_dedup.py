@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import DatasetError
 from repro.search.engine import SearchHit
@@ -95,6 +96,29 @@ class TestClustering:
         result = deduplicate_answers([], synthetic, tau=0.9)
         assert result.hits == ()
         assert result.merges == 0
+
+    def test_clusters_are_threshold_components(self):
+        # Noisy copies of a few prototypes: clusters must be exactly
+        # the connected components of the "cosine >= tau" graph.
+        rng = np.random.default_rng(4)
+        prototypes = rng.normal(size=(6, 12))
+        rows = prototypes[rng.integers(0, 6, 40)]
+        rows = rows + 0.15 * rng.normal(size=rows.shape)
+        embeddings = _embeddings_from_rows(rows)
+        scores = rng.random(40)
+        result = deduplicate_answers(
+            _hits(list(enumerate(scores.tolist()))), embeddings, tau=0.95
+        )
+        sims = embeddings.pairwise(np.arange(40))
+        __, labels = connected_components(
+            sparse.csr_matrix(sims >= 0.95), directed=False
+        )
+        expected = sorted(
+            tuple(np.flatnonzero(labels == label).tolist())
+            for label in np.unique(labels)
+        )
+        assert result.merges > 0
+        assert sorted(c.members for c in result.clusters) == expected
 
 
 class TestValidation:
