@@ -11,8 +11,7 @@ export PYTHONPATH := src
 	bench-parallel-smoke bench-serve bench-serve-smoke \
 	bench-backends bench-backends-smoke test-backends \
 	bench-updates bench-updates-smoke bench-shard \
-	bench-shard-smoke bench-estimation bench-estimation-smoke \
-	semantic-smoke bench-semantic bench-semantic-smoke \
+	bench-shard-smoke semantic-smoke bench-semantic bench-semantic-smoke \
 	bench-e2e bench-e2e-smoke bench-check
 
 test:
@@ -67,10 +66,10 @@ update-smoke:
 	$(PYTHON) -m pytest -q -m updates tests/updates
 	$(PYTHON) -m pytest -q tests/serve/test_server.py -k Update
 
-# Estimation smoke: the tier-1 estimator suite (protocol and spec
-# parsing, exact bit-identity pin, push certificates and invariants,
-# persist round trip, serve integration, and the composed
-# estimate-plus-update-charges certificate in the score store).
+# Estimation smoke: the tier-1 accuracy-request suite (spec parsing,
+# the bit-identity pin, the certified bound against a tight baseline,
+# the r_max refusal, serve and routed integration, and the composed
+# bound-plus-update-charges certificate in the score store).
 estimate-smoke:
 	$(PYTHON) -m pytest -q -m "estimation and not tier2" tests/estimation tests/serve/test_estimator_serve.py tests/serve/test_store.py
 
@@ -146,20 +145,10 @@ bench-semantic:
 	$(PYTHON) benchmarks/bench_semantic.py
 
 # CI tier-2 gate: small workload; the determinism clause (same
-# seed+query -> identical answer set) and push certificate honesty
-# are never waived.
+# seed+query -> identical answer set) and certificate honesty of the
+# accuracy request are never waived.
 bench-semantic-smoke:
 	$(PYTHON) benchmarks/bench_semantic.py --smoke --output /tmp/BENCH_semantic_smoke.json
-
-# Full estimation Pareto benchmark; writes BENCH_estimate.json at the
-# repo root.
-bench-estimation:
-	$(PYTHON) benchmarks/bench_estimation.py
-
-# CI tier-2 gate: small workload; the certificate-accuracy clause and
-# the sublinearity clause are never waived.
-bench-estimation-smoke:
-	$(PYTHON) benchmarks/bench_estimation.py --smoke --output /tmp/BENCH_estimate_smoke.json
 
 # End-to-end serving benchmark: boots the real server as a separate
 # process and drives every workload over HTTP; prints each metric and
@@ -187,7 +176,5 @@ bench-check:
 	$(PYTHON) -m repro bench-diff BENCH_update.json /tmp/BENCH_update_check.json --strict
 	$(PYTHON) benchmarks/bench_shard.py --output /tmp/BENCH_shard_check.json > /dev/null
 	$(PYTHON) -m repro bench-diff BENCH_shard.json /tmp/BENCH_shard_check.json --strict
-	$(PYTHON) benchmarks/bench_estimation.py --output /tmp/BENCH_estimate_check.json > /dev/null
-	$(PYTHON) -m repro bench-diff BENCH_estimate.json /tmp/BENCH_estimate_check.json --strict
 	$(PYTHON) benchmarks/bench_semantic.py --output /tmp/BENCH_semantic_check.json > /dev/null
 	$(PYTHON) -m repro bench-diff BENCH_semantic.json /tmp/BENCH_semantic_check.json --strict

@@ -4,11 +4,11 @@
 Runs one query over a politics-like web three ways — the paper's TS
 topic subgraph, a same-size random control (RS), and the semantic
 neighborhood from the embedding pipeline — and ranks each through the
-exact solver and local push, recording bound tightness, edges
-touched, latency, and answer redundancy (the diversity suite).  The
-determinism clause (same seed + query → identical answer set from a
-freshly rebuilt pipeline) is never waived; neither is push
-certificate honesty.
+exact solver, recording the certified bound of a ``push:r_max``
+accuracy request against the measured error, latency, and answer
+redundancy (the diversity suite).  The determinism clause (same seed
++ query → identical answer set from a freshly rebuilt pipeline) is
+never waived; neither is certificate honesty.
 
 Usage::
 
@@ -35,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=(
             "Benchmark TS/RS/semantic subgraph families on bound "
-            "tightness, edges touched, latency, and answer diversity."
+            "tightness, latency, and answer diversity."
         )
     )
     parser.add_argument(

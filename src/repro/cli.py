@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         + [
             "all", "bench-kernels", "bench-parallel", "bench-serve",
             "bench-backends", "bench-updates", "bench-shard",
-            "bench-estimation", "bench-semantic", "bench-diff",
+            "bench-semantic", "bench-diff",
             "obs-report", "semantic-search", "serve", "serve-cluster",
             "query",
         ],
@@ -77,9 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
             "benchmark (BENCH_backend.json), 'bench-updates' the "
             "incremental re-ranking benchmark (BENCH_update.json), "
             "'bench-shard' the sharded-cluster benchmark "
-            "(BENCH_shard.json), 'bench-estimation' the sublinear-"
-            "estimator Pareto benchmark (BENCH_estimate.json), "
-            "'bench-semantic' the TS/RS/semantic diversity benchmark "
+            "(BENCH_shard.json), 'bench-semantic' the TS/RS/semantic diversity benchmark "
             "(BENCH_semantic.json), 'bench-diff' compares two "
             "benchmark records (regression report), 'obs-report' "
             "renders an observability snapshot written by --obs-out, "
@@ -282,12 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_group.add_argument(
         "--estimator", type=str, default=None, metavar="SPEC",
         help=(
-            "('serve'/'query') rank with a sublinear estimator "
-            "instead of the exact solver: 'exact' or "
-            "'push[:r_max=<float>]', e.g. 'push:r_max=1e-4'; "
-            "for 'serve' this sets the server's default engine, for "
-            "'query' it is sent as /rank?estimator=; estimated "
-            "responses are flagged with their certified error bound"
+            "('query'/'semantic-search') accuracy request: 'exact' "
+            "or 'push[:r_max=<float>]', e.g. 'push:r_max=1e-4'; the "
+            "exact solve answers it and the response carries its "
+            "certified L1 error_bound (an r_max below that bound is "
+            "refused); 'query' sends it as /rank?estimator="
         ),
     )
     parser.add_argument(
@@ -349,7 +346,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     service = RankingService(
         graph,
         policy=BatchPolicy(enabled=not args.no_batching),
-        default_estimator=args.estimator,
     )
     if args.store_dir:
         loaded = service.store.warm_load(args.store_dir, graph)
@@ -537,7 +533,6 @@ def _run_semantic_search(args: argparse.Namespace) -> int:
         "terms": terms,
         "query_digest": answer.query_digest,
         "estimator": answer.estimator,
-        "estimated": answer.estimated,
         "error_bound": answer.error_bound,
         "neighborhood_size": answer.neighborhood_size,
         "candidates_pruned": answer.candidates_pruned,
@@ -729,27 +724,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(format_shard_summary(record))
         return 0 if (not args.fast or record["gate_passed"]) else 1
 
-    if args.experiment == "bench-estimation":
-        # Sublinear-estimator benchmark: error-vs-time Pareto sweep
-        # of local-push against the exact solver;
-        # --fast maps to smoke mode (small workload + hard gate).
-        from repro.estimation.bench import (
-            format_estimation_summary,
-            run_estimation_benchmark,
-        )
-
-        record = run_estimation_benchmark(
-            smoke=args.fast,
-            seed=args.seed if args.seed is not None else 2009,
-            output_path=args.output or "BENCH_estimate.json",
-        )
-        print(format_estimation_summary(record))
-        return 0 if (not args.fast or record["gate_passed"]) else 1
-
     if args.experiment == "bench-semantic":
         # Semantic diversity benchmark: TS/RS/semantic subgraph
-        # families compared on bound tightness, edges touched, and
-        # latency; --fast maps to smoke mode (hard gate).
+        # families compared on bound tightness and latency; --fast
+        # maps to smoke mode (hard gate).
         from repro.semantic.bench import (
             format_semantic_summary,
             run_semantic_benchmark,

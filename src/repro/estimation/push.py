@@ -1,89 +1,63 @@
-"""Residual local-push (forward-push) estimation of ApproxRank scores.
+"""The accuracy request behind ``estimator=push:r_max=x``.
 
-The ApproxContributions/forward-push idiom, specialised to the
-extended local graph.  The engine maintains an estimate vector ``p̂``
-and a residual vector ``r`` over the n+1 extended nodes, starting from
-``p̂ = 0, r = s`` (the teleport distribution), and repeatedly *pushes*
-nodes holding enough residual mass:
+A spec ``push:r_max=x`` asks for scores within ``x`` in L1 of the
+ApproxRank fixed point over the n+1 extended vector (local pages plus
+Λ).  The exact solve answers it: ApproxRank's preprocessor already
+makes that solve local — O(n + boundary) per subgraph — and on every
+subgraph measured, its own certificate was at or below every r_max a
+residual-push engine was run at, in less wall time.  So there is one
+engine, and the spec only changes what the answer is *certified*
+against.
 
-    push(u):  p̂(u) += (1 − ε) · r(u)
-              r(v)  += ε · r(u) · P(u, v)   for each out-edge (u, v)
-              r(u)   = 0
+The certificate is :func:`~repro.updates.rerank.staleness_charge_bound`
+with no external drift: the truncation term ``residual/(1−ε)`` (the
+damped update contracts in L1), plus the documented
+:func:`~repro.pagerank.backends.float32_l1_bound` clamp when float32
+is the active precision, plus any staleness charge the scores already
+carry.  A request whose r_max sits below that bound is refused with
+:class:`~repro.exceptions.EstimationError` — a 400 on the serve path.
 
-(a dangling ``u`` propagates ``ε · r(u)`` through the teleport instead
-— exactly how the solver patches dangling rows).  The loop invariant is
-the α-discounted-walk decomposition
-
-    p = p̂ + Σ_u r(u) · ppr(u)
-
-where ``ppr(u)`` is the PageRank vector personalised to node ``u``.
-Every ``ppr(u)`` is a probability distribution and ``r`` stays
-non-negative, so
-
-    ‖p − p̂‖₁ = Σ_u r(u) = ‖r‖₁        (exactly)
-
-and the engine simply runs until ``‖r‖₁ ≤ r_max``.  The *measured*
-final ``‖r‖₁`` is reported as ``extras["error_bound"]`` — a certificate
-for the L1 (hence also L∞) error.  It is always at least as tight as
-the conventional a-priori form ``r_max / (1 − ε)``, which is recorded
-alongside as ``extras["error_bound_apriori"]``.
-
-Frontier sweeps, not a priority queue
--------------------------------------
-Python-level heaps would dominate the runtime, so pushes are applied
-in vectorised *sweeps*: every node with ``r(u) > θ`` where
-``θ = r_max / (2(n+1))`` is pushed at once via one CSR row-slice and a
-transposed sparse mat-vec over just those rows.  If a sweep finds no
-node above θ then ``‖r‖₁ ≤ (n+1)·θ = r_max/2`` and the target is
-already met, so the loop terminates without ever scanning mass it
-cannot push.  Each sweep strictly removes ``(1 − ε)`` of the pushed
-mass from ``‖r‖₁``, giving geometric progress; a generous sweep cap
-guards against misconfiguration.
-
-Work accounting
----------------
-``edges_touched`` counts the nnz of the rows actually pushed (plus
-n+1 per sweep that spreads dangling mass through the teleport, plus
-the extended nnz once for setup) — the engine never reads a row it
-does not push, which is what makes small-``r_max`` runs genuinely
-local.
+:func:`resolve_estimator` parses the spec grammar shared by the CLI
+``--estimator`` flag and the ``?estimator=`` query parameter.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.precompute import ApproxRankPreprocessor
-from repro.estimation.base import record_estimate_metrics
 from repro.exceptions import EstimationError
 from repro.graph.digraph import CSRGraph
+from repro.pagerank.backends import default_backend, float32_l1_bound
 from repro.pagerank.result import SubgraphScores
-from repro.pagerank.solver import DEFAULT_DAMPING, PowerIterationSettings
-from repro.pagerank.transition import csr_transpose
+from repro.pagerank.solver import PowerIterationSettings
+from repro.updates.rerank import staleness_charge_bound
 
-__all__ = ["PushEstimator", "DEFAULT_R_MAX", "MAX_SWEEPS"]
+__all__ = ["PushEstimator", "DEFAULT_R_MAX", "resolve_estimator"]
 
-#: Default residual target ‖r‖₁ ≤ r_max.
+#: Default accuracy target ``‖p̂ − p‖₁ ≤ r_max``.
 DEFAULT_R_MAX = 1e-3
 
-#: Safety cap on frontier sweeps (residual mass shrinks by a factor
-#: ≤ ε per full sweep, so legitimate runs finish in
-#: O(log(1/r_max) / log(1/ε)) ≈ 43 sweeps at ε = 0.85, r_max = 1e-3).
-MAX_SWEEPS = 10_000
+#: Names a spec string may carry.
+_KNOWN = ("exact", "push")
 
 
 class PushEstimator:
-    """Estimate ApproxRank scores by residual forward-push.
+    """An accuracy request: exact scores certified within ``r_max``.
+
+    The class keeps the name of the residual-push engine it replaced
+    so the ``push:r_max=x`` wire grammar, the offline
+    ``SemanticPipeline.run(estimator=...)`` call and every caller
+    wrapping :meth:`estimate` by its dotted path keep working.
 
     Parameters
     ----------
     r_max:
-        Target residual mass: the engine stops once ``‖r‖₁ ≤ r_max``,
-        certifying ``‖p̂ − p‖₁ ≤ r_max`` (and a fortiori the
-        conventional ``‖p̂ − p‖∞ ≤ r_max/(1−ε)``).
+        Largest certified L1 error over the n+1 extended vector the
+        caller accepts.
     """
 
     name = "push"
@@ -95,10 +69,46 @@ class PushEstimator:
             )
         self.r_max = float(r_max)
 
-    @property
-    def variant(self) -> str:
-        """Canonical store-key token for this configuration."""
-        return f"{self.name}:r_max={self.r_max!r}"
+    @staticmethod
+    def error_bound(
+        scores: SubgraphScores,
+        settings: PowerIterationSettings,
+        staleness: float = 0.0,
+    ) -> float:
+        """Certified L1 bound of ``scores`` over the n+1 vector.
+
+        ``staleness`` is the charge a stale store entry carries on top
+        of its own truncation (0.0 for a fresh solve).
+        """
+        clamp = 0.0
+        if default_backend().dtype == np.float32:
+            clamp = float32_l1_bound(
+                int(scores.local_nodes.size) + 1,
+                settings.tolerance,
+                settings.damping,
+            )
+        return staleness_charge_bound(
+            0.0,
+            settings.damping,
+            residual=scores.residual,
+            float32_clamp=clamp,
+        ) + float(staleness)
+
+    def certify(
+        self,
+        scores: SubgraphScores,
+        settings: PowerIterationSettings,
+        staleness: float = 0.0,
+    ) -> float:
+        """:meth:`error_bound`, refused when it exceeds ``r_max``."""
+        bound = self.error_bound(scores, settings, staleness)
+        if bound > self.r_max:
+            raise EstimationError(
+                f"r_max={self.r_max:.3g} is below the certified L1 "
+                f"bound {bound:.3g} of the exact solve; request "
+                f"r_max >= {bound:.3g}"
+            )
+        return bound
 
     def estimate(
         self,
@@ -107,88 +117,87 @@ class PushEstimator:
         settings: PowerIterationSettings | None = None,
         preprocessor: ApproxRankPreprocessor | None = None,
     ) -> SubgraphScores:
-        start = time.perf_counter()
-        damping = float(
-            settings.damping if settings is not None else DEFAULT_DAMPING
+        """The exact solve, its ``extras`` carrying the certificate.
+
+        The scores are bit-identical to
+        :func:`~repro.core.approxrank.approxrank`; ``extras`` adds
+        ``estimator``, ``error_bound`` and ``r_max``.
+        """
+        settings = settings if settings is not None else (
+            PowerIterationSettings()
         )
         prep = preprocessor or ApproxRankPreprocessor(graph)
-        extended = prep.extended_graph(local_nodes)
-        size = extended.num_local + 1
-        rows = csr_transpose(extended.transition_ext_t)
-        dangling = np.asarray(extended.dangling_mask_ext, dtype=bool) | (
-            np.diff(rows.indptr) == 0
-        )
-        teleport = np.asarray(extended.p_ideal, dtype=np.float64)
-        row_nnz = np.diff(rows.indptr).astype(np.int64)
-
-        threshold = self.r_max / (2.0 * size)
-        p_hat = np.zeros(size, dtype=np.float64)
-        residual = teleport.copy()
-
-        sweeps = 0
-        pushes = 0
-        edges_touched = int(rows.nnz)  # CSR setup reads every entry once
-        while residual.sum() > self.r_max:
-            frontier = np.flatnonzero(residual > threshold)
-            if frontier.size == 0:
-                # ‖r‖₁ ≤ (n+1)·θ = r_max/2: the invariant already
-                # certifies the target (unreachable given the loop
-                # condition, kept as a structural guard).
-                break
-            if sweeps >= MAX_SWEEPS:
-                raise EstimationError(
-                    f"push failed to reach r_max={self.r_max} within "
-                    f"{MAX_SWEEPS} sweeps (residual {residual.sum():.3e})"
-                )
-            mass = residual[frontier]
-            p_hat[frontier] += (1.0 - damping) * mass
-            residual[frontier] = 0.0
-
-            spread = frontier[~dangling[frontier]]
-            if spread.size:
-                sub = rows[spread]
-                residual += damping * (sub.T @ residual_mass(mass, frontier, spread))
-                edges_touched += int(sub.nnz)
-            dangling_mass = float(mass[dangling[frontier]].sum())
-            if dangling_mass > 0.0:
-                residual += damping * dangling_mass * teleport
-                edges_touched += size
-
-            sweeps += 1
-            pushes += int(frontier.size)
-
-        final_residual = float(residual.sum())
-        runtime = time.perf_counter() - start
-        scores = SubgraphScores(
-            local_nodes=extended.local_nodes.copy(),
-            scores=p_hat[: extended.num_local].copy(),
-            method="approxrank-push",
-            iterations=sweeps,
-            residual=final_residual,
-            converged=True,
-            runtime_seconds=runtime,
+        scores = prep.rank(local_nodes, settings)
+        bound = self.certify(scores, settings)
+        return replace(
+            scores,
             extras={
+                **scores.extras,
                 "estimator": self.name,
-                "error_bound": final_residual,
-                "error_bound_apriori": self.r_max / (1.0 - damping),
+                "error_bound": bound,
                 "r_max": self.r_max,
-                "edges_touched": int(edges_touched),
-                "pushes": pushes,
-                "sweeps": sweeps,
-                "lambda_score": float(p_hat[extended.lambda_index]),
             },
         )
-        record_estimate_metrics(scores)
-        return scores
 
 
-def residual_mass(
-    mass: np.ndarray, frontier: np.ndarray, spread: np.ndarray
-) -> np.ndarray:
-    """Frontier mass aligned with the non-dangling row slice.
+def resolve_estimator(spec) -> PushEstimator | None:
+    """Parse an estimator spec; ``None`` means the plain exact path.
 
-    ``rows[spread].T @ v`` needs ``v`` in ``spread`` order; ``mass`` is
-    in ``frontier`` order.  ``spread`` is a subsequence of ``frontier``
-    (both ascending), so a searchsorted realigns without a dict.
+    Accepts ``None`` or ``"exact"`` (returns ``None``), a
+    :class:`PushEstimator` (returned unchanged), or a spec string
+    ``push[:r_max=<float>]``:
+
+    >>> resolve_estimator("push:r_max=1e-3").r_max
+    0.001
+
+    Anything else — an unknown name, a malformed or repeated key, a
+    value that is not a number, a parameter on ``exact`` — raises
+    :class:`EstimationError`.
     """
-    return mass[np.searchsorted(frontier, spread)]
+    if spec is None or isinstance(spec, PushEstimator):
+        return spec
+    if not isinstance(spec, str):
+        raise EstimationError(
+            f"estimator spec must be a string or PushEstimator, "
+            f"got {type(spec).__name__}"
+        )
+    name, _, params = spec.partition(":")
+    name = name.strip()
+    if name not in _KNOWN:
+        raise EstimationError(
+            f"unknown estimator {name!r}; known estimators: "
+            + ", ".join(_KNOWN)
+        )
+    kwargs: dict[str, float] = {}
+    if params.strip():
+        for item in params.split(","):
+            key, sep, value = item.partition("=")
+            key = key.strip()
+            if not sep or not key:
+                raise EstimationError(
+                    f"malformed estimator parameter {item!r} in {spec!r} "
+                    "(expected key=value)"
+                )
+            if key in kwargs:
+                raise EstimationError(
+                    f"duplicate estimator parameter {key!r} in {spec!r}"
+                )
+            try:
+                kwargs[key] = float(value)
+            except ValueError:
+                raise EstimationError(
+                    f"estimator parameter {item.strip()!r} in {spec!r} "
+                    "is not a number"
+                ) from None
+    if name == "exact":
+        if kwargs:
+            raise EstimationError(
+                f"estimator 'exact' takes no parameters, got {spec!r}"
+            )
+        return None
+    try:
+        return PushEstimator(**kwargs)
+    except TypeError as exc:
+        raise EstimationError(
+            f"invalid parameters for estimator {name!r}: {exc}"
+        ) from exc

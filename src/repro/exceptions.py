@@ -263,12 +263,11 @@ class ServeRetriesExhaustedError(ServeRequestError):
 
 
 class EstimationError(ReproError):
-    """A sublinear rank estimator was misconfigured or failed to certify.
+    """An estimator spec is invalid or its accuracy cannot be certified.
 
     Raised by :mod:`repro.estimation` for unknown estimator specs,
-    invalid parameters (non-positive walk budgets, thresholds), or when
-    a push sweep fails to drive the residual below its certificate
-    within the safety cap.
+    invalid parameters (an ``r_max`` outside ``(0, 2)``), or an
+    ``r_max`` below the certified L1 bound of the exact solve.
     """
 
 

@@ -600,51 +600,6 @@ def _updates_section(metrics: Mapping) -> list[str]:
     return rows if len(rows) > 1 else []
 
 
-def _estimation_section(metrics: Mapping) -> list[str]:
-    """The sublinear estimators' ``repro_estimate_*`` family."""
-    request_samples = _sample_map(
-        metrics, "repro_estimate_requests_total"
-    )
-    if not request_samples:
-        return []
-    latency_by_estimator = {
-        s["labels"].get("estimator"): s
-        for s in _sample_map(metrics, "repro_estimate_seconds")
-    }
-    bound_by_estimator = {
-        s["labels"].get("estimator"): s
-        for s in _sample_map(metrics, "repro_estimate_error_bound")
-    }
-    rows = ["Estimation (sublinear engines)"]
-    for sample in request_samples:
-        if not sample.get("value"):
-            continue
-        estimator = sample["labels"].get("estimator", "?")
-        row = "  {:<12} x{:<6}".format(estimator, int(sample["value"]))
-        edges = _metric_total(
-            metrics,
-            "repro_estimate_edges_touched_total",
-            estimator=estimator,
-        )
-        if edges:
-            row += "  edges {}".format(int(edges))
-        latency = latency_by_estimator.get(estimator)
-        if latency and latency["count"]:
-            row += "  mean {:.1f}ms".format(
-                latency["sum"] / latency["count"] * 1e3
-            )
-        bound = bound_by_estimator.get(estimator)
-        if bound and bound["count"]:
-            row += "  mean bound {:.2e}".format(
-                bound["sum"] / bound["count"]
-            )
-        rows.append(row)
-    pushes = _metric_total(metrics, "repro_estimate_pushes_total")
-    if pushes:
-        rows.append("  residual pushes {}".format(int(pushes)))
-    return rows if len(rows) > 1 else []
-
-
 def _semantic_section(metrics: Mapping) -> list[str]:
     """The semantic pipeline's ``repro_semantic_*`` family."""
     query_samples = _sample_map(
@@ -819,7 +774,6 @@ def render_report(snapshot: Mapping) -> str:
             _experiment_section(metrics),
             _serve_section(metrics),
             _updates_section(metrics),
-            _estimation_section(metrics),
             _semantic_section(metrics),
             _cluster_section(metrics),
             _span_section(snapshot),

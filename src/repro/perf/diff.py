@@ -15,9 +15,8 @@ regression report:
   (``*speedup*``, ``*_per_second``) regress when they shrink, and
   everything else (sizes, counts, bounds) is reported as neutral
   change only — unless the record's benchmark registers an override
-  in :data:`_DIRECTION_OVERRIDES` (the estimation benchmark's
-  ``error*`` and ``edges_touched`` leaves are lower-is-better, not
-  neutral counts);
+  in :data:`_DIRECTION_OVERRIDES` (the semantic benchmark's ``error*``
+  leaves are lower-is-better, not neutral counts);
 * changes smaller than the noise ``threshold`` (relative) are
   suppressed, because best-of-N timings on shared CI boxes still
   wobble a few percent.
@@ -55,7 +54,7 @@ def _numeric_leaves(node: Any, path: str = "") -> dict[str, float]:
 
     Booleans are excluded (gates are compared separately); list items
     are keyed by a discriminating label when present (``family``,
-    ``dtype``, ``estimator``/``r_max``, ``workers``, ``gate``) so sweep
+    ``dtype``, ``workers``, ``gate``) so sweep
     entries line up across records even if their order or length
     changes.
     """
@@ -74,8 +73,6 @@ def _numeric_leaves(node: Any, path: str = "") -> dict[str, float]:
                     label = str(item["family"])
                 elif "dtype" in item:
                     label = str(item["dtype"])
-                elif "estimator" in item and "r_max" in item:
-                    label = f"{item['estimator']}/r_max={item['r_max']:g}"
                 elif "workers" in item:
                     label = f"workers={item['workers']}"
                 elif "gate" in item:
@@ -90,23 +87,15 @@ def _numeric_leaves(node: Any, path: str = "") -> dict[str, float]:
 
 #: Per-benchmark direction metadata, keyed by the record's
 #: ``"benchmark"`` name, then by a substring of the leaf name.  Looked
-#: up before the generic name heuristics: the estimation benchmark's
-#: error and edges-touched leaves are quality/cost axes of its Pareto
-#: sweep, and a growth in either is a genuine regression.
+#: up before the generic name heuristics.
 _DIRECTION_OVERRIDES: dict[str, dict[str, str]] = {
-    "estimation": {
-        "error": "lower",
-        "edges_touched": "lower",
-        "edges_fraction": "lower",
-    },
     # The semantic diversity benchmark: similarity/recall axes are
-    # quality (higher is better); latency, edge cost, redundancy of
-    # the answer set, and errors are costs (lower is better).
+    # quality (higher is better); latency, redundancy of the answer
+    # set, and errors are costs (lower is better).
     "semantic": {
         "similarity": "higher",
         "recall": "higher",
         "latency": "lower",
-        "edges": "lower",
         "error": "lower",
         "redundancy": "lower",
     },

@@ -8,7 +8,7 @@ query selects its semantic neighborhood by cosine similarity plus a
 hop-bounded link closure, ApproxRank ranks the neighborhood, and an
 entity-resolution pass collapses near-duplicate answers.  The final
 layer (``repro.serve``'s ``/semantic-search`` route) serves the whole
-pipeline online with estimator selection and variant-keyed caching.
+pipeline online, with accuracy requests and store-backed caching.
 
 Layers
 ------

@@ -1,7 +1,6 @@
 """Metrics publishing for the semantic pipeline.
 
-One helper, mirroring :func:`repro.estimation.record_estimate_metrics`:
-every surface that runs a semantic query (serving route, CLI, bench)
+One helper: every surface that runs a semantic query (serving route, CLI, bench)
 calls :func:`record_semantic_metrics` with the finished answer, so
 the ``repro_semantic_*`` families always mean the same thing no
 matter which layer produced them.
@@ -27,8 +26,8 @@ def record_semantic_metrics(
 ) -> None:
     """Publish one semantic query's accounting to the registry.
 
-    Families (labelled by ``estimator`` where rates differ by
-    engine):
+    Families (labelled by ``estimator``, the accuracy request the
+    answer carries, where rates are per request kind):
 
     * ``repro_semantic_queries_total`` — semantic queries answered;
     * ``repro_semantic_candidates_pruned_total`` — pages the

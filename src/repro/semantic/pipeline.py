@@ -11,9 +11,10 @@ The pipeline is split at its natural caching seam:
 * :meth:`SemanticPipeline.select` — query → neighborhood (pure
   function of the query and the embedding config; the serving layer
   caches it by :func:`semantic_query_digest`);
-* ranking — exact :func:`~repro.core.approxrank.approxrank` or any
-  :mod:`repro.estimation` engine (the serving layer swaps in its
-  store-backed ``rank_with_meta`` here);
+* ranking — exact :func:`~repro.core.approxrank.approxrank`, or the
+  same solve certified by a :mod:`repro.estimation` accuracy request
+  (the serving layer swaps in its store-backed ``rank_with_meta``
+  here);
 * :meth:`SemanticPipeline.finish` — ranked neighborhood → matched,
   deduplicated Top-K answer.
 """
@@ -118,8 +119,9 @@ class SemanticAnswer:
     """The full outcome of one semantic query.
 
     ``hits`` is the deduplicated Top-K; ``scores`` the underlying
-    neighborhood ranking (exact or estimated — ``estimated`` /
-    ``error_bound`` mirror the serving flags); ``extras`` records
+    neighborhood ranking (``estimator`` / ``error_bound`` name the
+    accuracy request and its certified L1 bound, ``"exact"`` / 0.0
+    without one); ``extras`` records
     the dedup bookkeeping (members and merged mass per retained
     answer) and the pipeline counters.
     """
@@ -129,7 +131,6 @@ class SemanticAnswer:
     scores: SubgraphScores
     query_digest: str
     estimator: str
-    estimated: bool
     error_bound: float
     candidates_pruned: int
     dedup_merges: int
@@ -160,7 +161,7 @@ class SemanticPipeline:
     tau:
         Dedup similarity threshold.
     settings:
-        Solver settings for the exact path and estimator engines.
+        Solver settings of the neighborhood solve.
     preprocessor:
         Optional shared :class:`ApproxRankPreprocessor` (built
         lazily when omitted).
@@ -274,8 +275,13 @@ class SemanticPipeline:
         scores: SubgraphScores,
         k: int = 10,
         estimator_name: str = "exact",
+        error_bound: float = 0.0,
     ) -> SemanticAnswer:
-        """Ranked neighborhood → deduplicated Top-K answer."""
+        """Ranked neighborhood → deduplicated Top-K answer.
+
+        ``estimator_name`` / ``error_bound`` record the accuracy
+        request the scores answer, if any.
+        """
         if k < 1:
             raise DatasetError(f"k must be >= 1, got {k}")
         pool_size = min(
@@ -313,18 +319,13 @@ class SemanticPipeline:
                 start=1,
             )
         )
-        estimated = estimator_name != "exact"
-        error_bound = float(
-            scores.extras.get("error_bound", 0.0)
-        )
         return SemanticAnswer(
             hits=hits,
             local_nodes=selection.nodes,
             scores=scores,
             query_digest=selection.query_digest,
             estimator=estimator_name,
-            estimated=estimated,
-            error_bound=error_bound,
+            error_bound=float(error_bound),
             candidates_pruned=selection.retrieval.pruned,
             dedup_merges=dedup.merges,
             neighborhood_size=int(selection.nodes.size),
@@ -356,32 +357,31 @@ class SemanticPipeline:
     ) -> SemanticAnswer:
         """Run the full pipeline offline (select → rank → dedup).
 
-        ``estimator`` is a spec string (``"push:r_max=1e-3"``
-        …); ``None``/``"exact"`` takes the exact
-        :func:`approxrank` path, bit-identical to what the serving
-        route returns for the same query.
+        ``estimator`` is an accuracy request (``"push:r_max=1e-3"``)
+        or ``None``/``"exact"``.  Either way the neighborhood takes the
+        exact :func:`approxrank` path, bit-identical to what the
+        serving route returns for the same query; a request adds its
+        certified bound to the answer (and raises
+        :class:`~repro.exceptions.EstimationError` when ``r_max`` is
+        below it).
         """
+        request = resolve_estimator(estimator)
         term_list = [int(t) for t in terms]
         selection = self.select(term_list)
         if self._preprocessor is None:
             self._preprocessor = ApproxRankPreprocessor(self.graph)
-        if estimator is None or estimator == "exact":
-            scores = approxrank(
-                self.graph,
-                selection.nodes,
-                self.settings,
-                preprocessor=self._preprocessor,
-            )
-            name = "exact"
-        else:
-            engine = resolve_estimator(estimator)
-            scores = engine.estimate(
-                self.graph,
-                selection.nodes,
-                self.settings,
-                self._preprocessor,
-            )
-            name = engine.name
+        scores = approxrank(
+            self.graph,
+            selection.nodes,
+            self.settings,
+            preprocessor=self._preprocessor,
+        )
+        if request is None:
+            return self.finish(selection, scores, k=k)
         return self.finish(
-            selection, scores, k=k, estimator_name=name
+            selection,
+            scores,
+            k=k,
+            estimator_name=request.name,
+            error_bound=request.certify(scores, self.settings),
         )

@@ -266,10 +266,10 @@ class RankingClient:
     ) -> dict:
         """``POST /rank``; returns the decoded JSON payload.
 
-        ``estimator`` opts into the sublinear engines — the spec is
-        sent as the ``/rank?estimator=`` query parameter, URL-encoded
-        (estimated responses come back flagged ``estimated`` with
-        their certified ``error_bound``).
+        ``estimator`` is an accuracy request (``"push:r_max=1e-3"``),
+        sent as the ``/rank?estimator=`` query parameter, URL-encoded;
+        the answer carries the certified L1 ``error_bound`` of its
+        scores.
         """
         payload: dict = {"nodes": [int(n) for n in nodes]}
         if damping is not None:
@@ -303,8 +303,8 @@ class RankingClient:
     ) -> dict:
         """``POST /search``; returns the decoded JSON payload.
 
-        ``estimator`` selects the ranking engine behind the answer
-        list, exactly as in :meth:`rank`.
+        ``estimator`` is an accuracy request, exactly as in
+        :meth:`rank`.
         """
         payload: dict = {
             "nodes": [int(n) for n in nodes],
@@ -328,8 +328,8 @@ class RankingClient:
         """``POST /semantic-search``; returns the decoded payload.
 
         The query is free terms only — the server selects the
-        semantic neighborhood, ranks it (exact by default, or under
-        ``estimator``), and returns the deduplicated Top-``k`` with
+        semantic neighborhood, ranks it (certified against the
+        ``estimator`` accuracy request, if any), and returns the deduplicated Top-``k`` with
         the neighborhood and dedup accounting.
         """
         payload: dict = {

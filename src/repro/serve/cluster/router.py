@@ -46,8 +46,9 @@ Mechanisms, in the order a request meets them:
   :class:`~repro.serve.store.ScoreStore`, flagged ``degraded`` (and
   ``stale`` + charged when they predate an update — the store's
   budget double-check guarantees over-budget entries are never
-  served); with nothing in the store, an honest 503 carrying the full
-  attempt history.
+  served); with nothing in the store — or, for an accuracy request
+  (``?estimator=push:r_max=x``), nothing whose certified bound meets
+  ``r_max`` — an honest 503 carrying the full attempt history.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
+from dataclasses import replace
 
 from repro.exceptions import ServiceOverloadedError
 from repro.graph.digraph import CSRGraph
@@ -67,6 +69,7 @@ from repro.resilience.policy import (
 )
 from repro.serve.cluster.breaker import CircuitBreaker
 from repro.serve.cluster.http import http_request
+from repro.estimation.push import resolve_estimator
 from repro.serve.cluster.manager import ShardManager
 from repro.serve.server import (
     BackgroundServer,
@@ -577,7 +580,10 @@ class ShardRouter(RankingServer):
             if degradable
             else None
         )
-        return self._degraded_answer(path, hit, shard, attempts)
+        outcome = None
+        if hit is not None:
+            outcome = self._degraded_outcome(hit, request, damping)
+        return self._degraded_answer(path, outcome, shard, attempts)
 
     def _attempt(
         self,
@@ -649,23 +655,40 @@ class ShardRouter(RankingServer):
             staleness=float(payload.get("staleness", 0.0)),
         )
 
+    def _degraded_outcome(
+        self, hit: StoreHit, request: Request, damping: float
+    ) -> RankOutcome | None:
+        """The last-known answer to ``request``; ``None`` when it is an
+        accuracy request the entry's certified bound cannot meet."""
+        outcome = RankOutcome(
+            hit.scores,
+            cache_hit=True,
+            stale=hit.stale,
+            staleness=hit.staleness,
+        )
+        accuracy = resolve_estimator(request.estimator)
+        if accuracy is None:
+            return outcome
+        bound = accuracy.error_bound(
+            hit.scores,
+            replace(self._manager.settings, damping=damping),
+            hit.staleness,
+        )
+        if bound > accuracy.r_max:
+            return None
+        return replace(outcome, estimator="push", error_bound=bound)
+
     def _degraded_answer(
         self,
         path: str,
-        hit: StoreHit | None,
+        outcome: RankOutcome | None,
         shard: int,
         attempts: list[AttemptRecord],
     ):
         """Last-known scores flagged ``degraded``, or an honest 503."""
-        if hit is not None:
-            outcome = RankOutcome(
-                hit.scores,
-                cache_hit=True,
-                stale=hit.stale,
-                staleness=hit.staleness,
-            )
+        if outcome is not None:
             payload = ranked_payload(
-                scores_fields(hit.scores), outcome, self._fingerprint
+                scores_fields(outcome.scores), outcome, self._fingerprint
             )
             payload["degraded"] = True
             self._count_outcome(path, "degraded")
@@ -673,8 +696,8 @@ class ShardRouter(RankingServer):
                 "shard %d unavailable; served last-known scores "
                 "(stale=%s, staleness=%.3g) after %d attempt(s)",
                 shard,
-                hit.stale,
-                hit.staleness,
+                outcome.stale,
+                outcome.staleness,
                 len(attempts),
             )
             return 200, payload
@@ -682,7 +705,8 @@ class ShardRouter(RankingServer):
         return 503, {
             "error": (
                 f"shard {shard} is unavailable and no last-known "
-                "scores are within the staleness budget"
+                "scores are within the staleness budget and the "
+                "requested r_max"
             ),
             "kind": "ShardUnavailableError",
             "shard": shard,

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.core.precompute import ApproxRankPreprocessor
 from repro.core.extended import solve_to_subgraph_scores
-from repro.estimation import resolve_estimator
+from repro.estimation.push import PushEstimator, resolve_estimator
 from repro.exceptions import (
     DatasetError,
     DeadlineExceededError,
@@ -105,12 +105,18 @@ class RankOutcome:
     served under the Theorem-2 bound; ``staleness`` is the entry's
     cumulative charge (0.0 for fresh results).  A non-stale outcome is
     bit-identical to the offline solve on the current graph.
+
+    An accuracy request (``estimator="push:r_max=x"``) sets
+    ``estimator`` to ``"push"`` and ``error_bound`` to the certified
+    L1 bound of the served scores; the cached scores are untouched.
     """
 
     scores: SubgraphScores
     cache_hit: bool
     stale: bool = False
     staleness: float = 0.0
+    estimator: str = "exact"
+    error_bound: float = 0.0
 
 log = logging.getLogger(__name__)
 
@@ -158,11 +164,6 @@ class RankingService:
         is the concurrency mechanism, not thread oversubscription.
     registry:
         Metrics registry (the process-wide one by default).
-    default_estimator:
-        Estimator spec applied to requests that do not name one
-        (``None`` = exact).  A per-request ``estimator`` always
-        overrides it; ``"exact"`` requests take the bit-identical
-        batched path regardless of this default.
     semantic_pipeline:
         Pre-built :class:`~repro.semantic.pipeline.SemanticPipeline`
         for ``/semantic-search`` (its graph must be the served
@@ -180,7 +181,6 @@ class RankingService:
         lexicon: SyntheticLexicon | None = None,
         solver_threads: int = 1,
         registry: MetricsRegistry | None = None,
-        default_estimator: str | None = None,
         semantic_pipeline: SemanticPipeline | None = None,
     ):
         self._registry = registry if registry is not None else REGISTRY
@@ -207,10 +207,6 @@ class RankingService:
             preprocessor=ApproxRankPreprocessor(graph),
             fingerprint=graph_fingerprint(graph),
         )
-        self._default_estimator = default_estimator
-        if default_estimator is not None:
-            # Fail at construction, not first request.
-            resolve_estimator(default_estimator)
         self._lexicon = lexicon
         self._lexicon_lock = threading.Lock()
         self._semantic = semantic_pipeline
@@ -419,24 +415,14 @@ class RankingService:
         with its staleness charge attached (the store guarantees the
         charge is within budget); a miss solves fresh.
 
-        ``estimator`` opts a request into the sublinear engines (spec
-        string, e.g. ``"push:r_max=1e-3"``); it falls back to
-        the service's ``default_estimator``.  Estimated results are
-        *never* bit-identical to the offline solve, so they are always
-        flagged stale, carry their certified ``error_bound`` as the
-        staleness charge, and live in the store under the estimator's
-        own variant key — an exact request can never be answered from
-        an estimated entry.
+        ``estimator`` is an accuracy request (``"push:r_max=1e-3"``):
+        the same lookup and batcher answer it, and the outcome carries
+        the certified L1 bound of the served scores.  A stale hit whose
+        bound exceeds ``r_max`` is solved fresh instead; a fresh answer
+        whose bound exceeds it raises
+        :class:`~repro.exceptions.EstimationError` (a 400).
         """
-        spec = estimator if estimator is not None else (
-            self._default_estimator
-        )
-        if spec is not None:
-            engine = resolve_estimator(spec)
-            if engine.name != "exact":
-                return await self._rank_estimated(
-                    engine, nodes, damping, deadline_seconds
-                )
+        request = resolve_estimator(estimator)
         state = self._state
         local = normalize_node_set(state.graph, nodes)
         epsilon = self._resolve_damping(damping)
@@ -444,88 +430,40 @@ class RankingService:
         digest = subgraph_digest(local)
         hit = self.store.lookup(state.graph, local, epsilon, digest=digest)
         if hit is not None:
-            return RankOutcome(
+            outcome = RankOutcome(
                 scores=hit.scores,
                 cache_hit=True,
                 stale=hit.stale,
                 staleness=hit.staleness,
             )
+            if request is None:
+                return outcome
+            settings = replace(self._settings, damping=epsilon)
+            if not hit.stale or request.error_bound(
+                hit.scores, settings, hit.staleness
+            ) <= request.r_max:
+                return self._certified(outcome, request, settings)
         scores = await self.batcher.submit(
             (state.fingerprint, digest), local, epsilon, deadline_seconds
         )
         self.store.put(state.graph, local, epsilon, scores, digest=digest)
-        return RankOutcome(scores=scores, cache_hit=False)
+        outcome = RankOutcome(scores=scores, cache_hit=False)
+        if request is None:
+            return outcome
+        return self._certified(
+            outcome, request, replace(self._settings, damping=epsilon)
+        )
 
-    async def _rank_estimated(
-        self,
-        engine,
-        nodes: Iterable[int],
-        damping: float | None,
-        deadline_seconds: float | None,
+    @staticmethod
+    def _certified(
+        outcome: RankOutcome,
+        request: PushEstimator,
+        settings: PowerIterationSettings,
     ) -> RankOutcome:
-        """The opt-in sublinear path: estimate, certify, cache.
-
-        Estimates bypass the micro-batcher (there is no multi-column
-        kernel to amortise) and run on the solver executor.  The
-        certified error bound doubles as the entry's staleness charge:
-        it and every later Theorem-2 update charge are L1 bounds over
-        the extended vector that hold with probability 1, so their sum
-        bounds the served error and the store's budget accounting caps
-        total certified error.
-        """
-        state = self._state
-        local = normalize_node_set(state.graph, nodes)
-        epsilon = self._resolve_damping(damping)
-        variant = engine.variant
-        digest = subgraph_digest(local)
-        hit = self.store.lookup(
-            state.graph, local, epsilon, variant, digest=digest
-        )
-        if hit is not None:
-            return RankOutcome(
-                scores=hit.scores,
-                cache_hit=True,
-                stale=True,
-                staleness=hit.staleness,
-            )
-        settings = replace(self._settings, damping=epsilon)
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._executor,
-            lambda: engine.estimate(
-                state.graph, local, settings, state.preprocessor
-            ),
-        )
-        if deadline_seconds is not None:
-            try:
-                scores = await asyncio.wait_for(
-                    asyncio.shield(future), timeout=deadline_seconds
-                )
-            except asyncio.TimeoutError:
-                raise DeadlineExceededError(
-                    f"estimate missed its {deadline_seconds:.3f}s "
-                    "deadline",
-                    deadline_seconds=deadline_seconds,
-                )
-        else:
-            scores = await future
-        bound = float(scores.extras.get("error_bound", 0.0))
-        self.store.put(
-            state.graph,
-            local,
-            epsilon,
-            scores,
-            stale=True,
-            staleness=bound,
-            variant=variant,
-            digest=digest,
-        )
-        return RankOutcome(
-            scores=scores,
-            cache_hit=False,
-            stale=True,
-            staleness=bound,
-        )
+        """``outcome`` with the accuracy request's bound attached;
+        raises when the bound exceeds ``r_max``."""
+        bound = request.certify(outcome.scores, settings, outcome.staleness)
+        return replace(outcome, estimator="push", error_bound=bound)
 
     async def search(
         self,
@@ -539,9 +477,8 @@ class RankingService:
     ) -> tuple[list[SearchHit], RankOutcome]:
         """Top-``k`` matching pages of a ranked subgraph (Figure 1).
 
-        ``estimator`` selects the ranking engine exactly as in
-        :meth:`rank_with_meta` — the answer list is then ordered by
-        the estimated scores and the outcome carries the certified
+        ``estimator`` is an accuracy request exactly as in
+        :meth:`rank_with_meta`: the outcome carries the certified
         bound (a bogus spec raises
         :class:`~repro.exceptions.EstimationError`, a 400 at the
         HTTP layer).
@@ -567,9 +504,9 @@ class RankingService:
         The selection stage is cached by query digest (same query +
         same embedding config ⇒ same neighborhood, no re-embed); the
         ranking stage goes through :meth:`rank_with_meta`, so it
-        honours ``estimator`` (and the service default) and the
-        ScoreStore's variant-keyed caching.  The exact path is
-        bit-identical to the offline
+        honours the ``estimator`` accuracy request and the
+        ScoreStore's caching.  A fresh answer is bit-identical to the
+        offline
         :meth:`~repro.semantic.pipeline.SemanticPipeline.run`.
         """
         pipeline = self._require_semantic()
@@ -599,9 +536,8 @@ class RankingService:
             selection,
             outcome.scores,
             k=k,
-            estimator_name=str(
-                outcome.scores.extras.get("estimator", "exact")
-            ),
+            estimator_name=outcome.estimator,
+            error_bound=outcome.error_bound,
         )
         record_semantic_metrics(answer, self._registry)
         return answer, outcome
@@ -787,7 +723,6 @@ class RankingService:
             "batching": self.batcher.policy.enabled,
             "pending": self.batcher.pending,
             "solver_backend": backend_info(),
-            "default_estimator": self._default_estimator or "exact",
             "updates": {
                 "applied": self._updates_applied,
                 "staleness_spent": self._staleness_spent,
@@ -1231,7 +1166,7 @@ class RankingServer:
             "nodes": answer.local_nodes.tolist(),
             "query_digest": answer.query_digest,
             "estimator": answer.estimator,
-            "estimated": answer.estimated,
+            "estimated": False,
             "error_bound": answer.error_bound,
             "neighborhood_size": answer.neighborhood_size,
             "candidates_pruned": answer.candidates_pruned,

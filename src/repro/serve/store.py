@@ -11,12 +11,13 @@ keyed by
   (post-update) graph automatically misses;
 * the **subgraph digest** — a hash of the sorted local node ids;
 * the **damping factor** — ε changes the fixed point, so it is part of
-  the identity of a score vector;
-* the **variant** — which estimator produced the scores (``"exact"``
-  by default).  Push estimates are warm too, but they must never be
-  served where the bit-identical exact contract applies, so they live
-  under their own keys: an ``"exact"`` lookup cannot hit a
-  ``"push:r_max=0.001"`` entry, and vice versa.
+  the identity of a score vector.
+
+Every entry is an exact solve; an accuracy request
+(``?estimator=push:r_max=x``) shares entries with plain requests.
+:meth:`ScoreStore.put` checks each entry's certificate conditions at
+the door: finite non-negative scores, at most unit mass over the n+1
+extended vector, and a finite non-negative staleness charge.
 
 Freshness is governed three ways:
 
@@ -59,6 +60,7 @@ import numpy as np
 
 from repro.graph.digraph import CSRGraph
 from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.pagerank.backends import default_backend
 from repro.pagerank.result import SubgraphScores
 from repro.updates.affected import affected_region
 from repro.updates.delta import GraphDelta
@@ -155,6 +157,46 @@ def _encode_extras(extras) -> str:
     return json.dumps(dict(extras), default=_json_default, sort_keys=True)
 
 
+#: Float slack on the unit-mass condition of the n+1 vector.
+_MASS_SLACK = 1e-9
+
+
+def _check_certificate(scores: SubgraphScores, staleness: float) -> None:
+    """Reject an entry whose scores or charge cannot be certified.
+
+    The scores must be finite and non-negative with total mass — the
+    local pages plus Λ — at most ``1 + _MASS_SLACK``; the staleness
+    charge must be finite and non-negative.  Every bound the store
+    serves assumes these, so a violation raises :class:`ValueError`
+    at the door instead of being served.  While float32 is the active
+    precision the mass may also exceed 1 by the float32 roundoff of
+    the normalisation, one float32 epsilon per entry.
+    """
+    values = np.asarray(scores.scores)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("store entry has non-finite scores")
+    if values.size and values.min() < 0.0:
+        raise ValueError(
+            f"store entry has a negative score {values.min():.3g}"
+        )
+    mass = float(values.sum()) + float(
+        scores.extras.get("lambda_score", 0.0)
+    )
+    slack = _MASS_SLACK
+    if default_backend().dtype == np.float32:
+        slack += (values.size + 1) * float(np.finfo(np.float32).eps)
+    if not mass <= 1.0 + slack:
+        raise ValueError(
+            f"store entry carries mass {mass!r} over the n+1 vector, "
+            f"above 1 + {slack:.3g}"
+        )
+    if not (np.isfinite(staleness) and staleness >= 0.0):
+        raise ValueError(
+            f"store entry staleness must be finite and >= 0, got "
+            f"{staleness!r}"
+        )
+
+
 @dataclass
 class _Entry:
     scores: SubgraphScores
@@ -164,7 +206,6 @@ class _Entry:
     inserted_at: float
     stale: bool = False
     staleness: float = 0.0
-    variant: str = "exact"
 
 
 @dataclass(frozen=True)
@@ -337,14 +378,12 @@ class ScoreStore:
         fingerprint: str,
         local_nodes: np.ndarray,
         damping: float,
-        variant: str = "exact",
         digest: str | None = None,
-    ) -> tuple[str, str, str, str]:
+    ) -> tuple[str, str, str]:
         return (
             fingerprint,
             digest if digest is not None else subgraph_digest(local_nodes),
             _damping_token(damping),
-            str(variant),
         )
 
     def __len__(self) -> int:
@@ -356,14 +395,13 @@ class ScoreStore:
         graph: CSRGraph,
         local_nodes: np.ndarray,
         damping: float,
-        variant: str = "exact",
     ) -> SubgraphScores | None:
         """The warm entry for this (graph, subgraph, ε), or ``None``.
 
         Convenience wrapper over :meth:`lookup` for callers that do
         not care about staleness accounting.
         """
-        hit = self.lookup(graph, local_nodes, damping, variant)
+        hit = self.lookup(graph, local_nodes, damping)
         return None if hit is None else hit.scores
 
     def lookup(
@@ -371,7 +409,6 @@ class ScoreStore:
         graph: CSRGraph,
         local_nodes: np.ndarray,
         damping: float,
-        variant: str = "exact",
         digest: str | None = None,
     ) -> StoreHit | None:
         """The warm entry plus staleness accounting, or ``None``.
@@ -381,14 +418,11 @@ class ScoreStore:
         budget, is evicted and reported as a miss — the lookup-time
         budget check is the last line of defence ensuring an
         over-budget entry is *never* served, whatever path charged it.
-        ``variant`` scopes the lookup to one estimator family —
-        estimated entries can never satisfy an exact request.
         ``digest`` is ``subgraph_digest(local_nodes)`` when the caller
         already has it.
         """
         key = self._key(
-            graph_fingerprint(graph), local_nodes, damping, variant,
-            digest,
+            graph_fingerprint(graph), local_nodes, damping, digest
         )
         with self._lock:
             entry = self._entries.get(key)
@@ -426,7 +460,6 @@ class ScoreStore:
         scores: SubgraphScores,
         stale: bool = False,
         staleness: float = 0.0,
-        variant: str = "exact",
         digest: str | None = None,
     ) -> None:
         """Insert (or refresh) an entry, evicting LRU beyond capacity.
@@ -434,13 +467,13 @@ class ScoreStore:
         ``stale`` / ``staleness`` let an incremental refresher record
         the residual bound of a warm-started re-rank (anything not
         bit-identical to a cold solve stays flagged with its bound);
-        a default put inserts a fresh, charge-free entry.  Estimated
-        scores are stored under their estimator's ``variant`` so they
-        never shadow exact entries.  ``digest`` is as in
-        :meth:`lookup`.
+        a default put inserts a fresh, charge-free entry.  ``digest``
+        is as in :meth:`lookup`.  Raises :class:`ValueError` when the
+        entry fails a certificate check (see module docs).
         """
+        _check_certificate(scores, staleness)
         fingerprint = graph_fingerprint(graph)
-        key = self._key(fingerprint, local_nodes, damping, variant, digest)
+        key = self._key(fingerprint, local_nodes, damping, digest)
         with self._lock:
             self._entries[key] = _Entry(
                 scores=scores,
@@ -450,7 +483,6 @@ class ScoreStore:
                 inserted_at=self._clock(),
                 stale=bool(stale),
                 staleness=float(staleness),
-                variant=str(variant),
             )
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
@@ -583,8 +615,7 @@ class ScoreStore:
                 if not migrate_unaffected:
                     evicted += 1
                     self._count_eviction("invalidated")
-                    if entry.variant == "exact":
-                        work_list.append((nodes, entry.damping))
+                    work_list.append((nodes, entry.damping))
                     continue
                 damping = entry.damping
                 delta_e = 2.0 * damping / (1.0 - damping) * changed_mass
@@ -597,21 +628,14 @@ class ScoreStore:
                         nodes, region, assume_unique=True
                     ).size
                 )
-                # Estimated entries carry the same Theorem-2 charge on
-                # top of their push certificate, but the exact
-                # refresher must not recompute them (its output would
-                # not be this estimator's scores) — they serve stale
-                # until re-estimated or evicted.
-                exact_variant = entry.variant == "exact"
                 if staleness > self._budget:
                     # Over budget: the Theorem-2 bound no longer
                     # vouches for these scores — evict, never serve.
                     evicted += 1
                     self._count_eviction("staleness")
-                    if exact_variant:
-                        work_list.append((nodes, damping))
+                    work_list.append((nodes, damping))
                     continue
-                self._entries[(new_fp, key[1], key[2], key[3])] = _Entry(
+                self._entries[(new_fp, key[1], key[2])] = _Entry(
                     scores=entry.scores,
                     fingerprint=new_fp,
                     digest=key[1],
@@ -619,12 +643,10 @@ class ScoreStore:
                     inserted_at=self._clock(),
                     stale=True,
                     staleness=staleness,
-                    variant=entry.variant,
                 )
                 if affected:
                     stale_count += 1
-                    if exact_variant:
-                        work_list.append((nodes, damping))
+                    work_list.append((nodes, damping))
                 else:
                     migrated += 1
             self._set_size_gauge()
@@ -665,11 +687,9 @@ class ScoreStore:
 
         Returns the number of files written.  Scalars, the method
         label, the *full* ``extras`` mapping (as JSON) and the entry's
-        stale/staleness/variant state ride along with the score
-        arrays, so a warm-loaded entry round-trips the complete
-        :class:`SubgraphScores` accounting — an estimated entry keeps
-        its ``error_bound``/``edges_touched`` certificate across a
-        restart.
+        stale/staleness state ride along with the score arrays, so a
+        warm-loaded entry round-trips the complete
+        :class:`SubgraphScores` accounting across a restart.
         """
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
@@ -698,7 +718,6 @@ class ScoreStore:
                 extras_json=np.str_(_encode_extras(scores.extras)),
                 stale=np.bool_(entry.stale),
                 staleness=np.float64(entry.staleness),
-                variant=np.str_(entry.variant),
             )
             written += 1
         return written
@@ -711,9 +730,12 @@ class ScoreStore:
         Entries persisted for other graphs are skipped silently (the
         directory may hold several generations).  Returns the number
         of entries loaded; each gets a fresh TTL clock but keeps its
-        persisted extras, stale flag, staleness charge and variant
-        (files from before those fields were persisted load as fresh
-        exact entries with the legacy lambda-score-only extras).
+        persisted extras, stale flag and staleness charge (files from
+        before those fields were persisted load as fresh entries with
+        the legacy lambda-score-only extras).  Archives tagged with a
+        ``variant`` other than ``"exact"`` hold the scores of a retired
+        estimator engine, not an exact solve, and are skipped, as are
+        entries that fail :meth:`put`'s certificate check.
         """
         source = Path(directory)
         if not source.is_dir():
@@ -723,6 +745,11 @@ class ScoreStore:
         for path in sorted(source.glob("entry-*.npz")):
             with np.load(path) as archive:
                 if str(archive["fingerprint"]) != fingerprint:
+                    continue
+                if (
+                    "variant" in archive.files
+                    and str(archive["variant"]) != "exact"
+                ):
                     continue
                 if "extras_json" in archive.files:
                     extras = json.loads(str(archive["extras_json"]))
@@ -756,19 +783,16 @@ class ScoreStore:
                     if "staleness" in archive.files
                     else 0.0
                 )
-                variant = (
-                    str(archive["variant"])
-                    if "variant" in archive.files
-                    else "exact"
+            try:
+                self.put(
+                    graph,
+                    np.asarray(scores.local_nodes),
+                    damping,
+                    scores,
+                    stale=stale,
+                    staleness=staleness,
                 )
-            self.put(
-                graph,
-                np.asarray(scores.local_nodes),
-                damping,
-                scores,
-                stale=stale,
-                staleness=staleness,
-                variant=variant,
-            )
+            except ValueError:
+                continue  # fails the certificate check: never served
             loaded += 1
         return loaded

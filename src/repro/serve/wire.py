@@ -96,8 +96,6 @@ def scores_fields(scores: SubgraphScores) -> dict:
         fields["iterations_saved"] = int(
             extras.get("iterations_saved", 0)
         )
-    if "edges_touched" in extras:
-        fields["edges_touched"] = int(extras["edges_touched"])
     return fields
 
 
@@ -108,19 +106,18 @@ def ranked_payload(
 
     The serving contract: an answer is either bit-identical to the
     offline solve on the graph ``graph_fingerprint`` names, or
-    flagged ``stale`` with its charge attached.  Sublinear results
-    are flagged non-bit-identical and ship their certificate
-    (``estimator``/``estimated``/``error_bound``) with the scores.
+    flagged ``stale`` with its charge attached.  An answer to an
+    accuracy request (``?estimator=push:r_max=x``) also ships its
+    certificate: ``estimator``, ``estimated`` (always false — the
+    scores are the exact solve's) and the L1 ``error_bound``.
     """
     fields["cache_hit"] = outcome.cache_hit
     fields["stale"] = outcome.stale
     fields["staleness"] = outcome.staleness
-    extras = outcome.scores.extras
-    estimator = extras.get("estimator")
-    if estimator is not None:
-        fields["estimator"] = str(estimator)
-        fields["estimated"] = estimator != "exact"
-        fields["error_bound"] = float(extras.get("error_bound", 0.0))
+    if outcome.estimator != "exact":
+        fields["estimator"] = outcome.estimator
+        fields["estimated"] = False
+        fields["error_bound"] = outcome.error_bound
     fields["graph_fingerprint"] = fingerprint
     return fields
 
@@ -152,8 +149,6 @@ def scores_from_payload(payload: dict) -> SubgraphScores:
         extras["estimator"] = str(payload["estimator"])
         extras["estimated"] = bool(payload.get("estimated", False))
         extras["error_bound"] = float(payload.get("error_bound", 0.0))
-        if "edges_touched" in payload:
-            extras["edges_touched"] = int(payload["edges_touched"])
     return SubgraphScores(
         local_nodes=np.asarray(payload["nodes"], dtype=np.int64),
         scores=np.asarray(payload["scores"], dtype=np.float64),

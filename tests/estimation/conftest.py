@@ -1,9 +1,9 @@
 """Shared fixtures for the estimation suite.
 
 One messy-but-small random digraph (dangling nodes included — the
-classic PageRank trap) and one subgraph, plus a module-scoped
-preprocessor so every engine in a file reuses the same extended-graph
-cache the serving tier would.
+classic PageRank trap) and one subgraph, plus a package-scoped
+preprocessor so every request in the suite reuses the same
+extended-graph cache the serving tier would.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from repro.pagerank.solver import PowerIterationSettings
 from tests.conftest import random_digraph
 
 #: Tight enough that the exact solve is "truth" for every certificate
-#: the engines issue at test scale.
+#: issued at test scale.
 SETTINGS = PowerIterationSettings(tolerance=1e-12)
 
 

@@ -1,23 +1,17 @@
-"""The RankEstimator protocol and spec parsing.
+"""Estimator spec parsing and the accuracy request's estimate().
 
-The contract every engine signs: a ``name``, an ``estimate()`` with
-the exact-solver signature, a ``variant`` token carrying every
-parameter that affects the returned scores, and extras holding
-``estimator``/``error_bound``/``edges_touched``.  The exact engine is
-additionally pinned bit-identical to a direct ``approxrank()`` call —
-selecting ``--estimator exact`` anywhere must be a no-op.
+``resolve_estimator`` parses the wire grammar: ``None``/``"exact"``
+mean the plain exact path (``None``), ``push[:r_max=x]`` an accuracy
+request.  ``PushEstimator.estimate`` is the exact solve — pinned
+bit-identical to a direct ``approxrank()`` call — with its certified
+bound in ``extras``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.approxrank import approxrank
-from repro.estimation import (
-    ExactEstimator,
-    PushEstimator,
-    RankEstimator,
-    resolve_estimator,
-)
+from repro.estimation import PushEstimator, resolve_estimator
 from repro.exceptions import EstimationError
 
 from tests.estimation.conftest import SETTINGS
@@ -34,11 +28,11 @@ class TestRegistry:
             resolve_estimator("quantum")
 
     def test_resolve_by_bare_name(self):
-        assert isinstance(resolve_estimator("exact"), ExactEstimator)
-        assert isinstance(resolve_estimator("push"), PushEstimator)
+        assert resolve_estimator("exact") is None
+        assert resolve_estimator("push").r_max == 1e-3
 
     def test_resolve_none_is_exact(self):
-        assert isinstance(resolve_estimator(None), ExactEstimator)
+        assert resolve_estimator(None) is None
 
     def test_resolve_passes_instances_through(self):
         engine = PushEstimator(r_max=1e-2)
@@ -76,46 +70,38 @@ class TestRegistry:
         with pytest.raises(EstimationError):
             resolve_estimator(spec)
 
-    def test_engines_satisfy_the_protocol(self):
-        for engine in (ExactEstimator(), PushEstimator()):
-            assert isinstance(engine, RankEstimator)
-
-
-class TestVariantTokens:
-    """The variant IS the store-key component: every parameter in."""
-
-    def test_exact_variant_is_bare(self):
-        assert ExactEstimator().variant == "exact"
-
-    def test_push_variant_round_trips_through_the_spec_grammar(self):
-        engine = PushEstimator(r_max=1e-3)
-        assert engine.variant == "push:r_max=0.001"
-        assert resolve_estimator(engine.variant).variant == engine.variant
-
-    def test_distinct_parameters_distinct_variants(self):
-        assert (
-            PushEstimator(r_max=1e-3).variant
-            != PushEstimator(r_max=1e-4).variant
-        )
+    def test_engines_satisfy_the_protocol(self, graph, local_nodes):
+        # Every engine a spec can name answers estimate() with the
+        # certificate in extras.
+        engine = resolve_estimator("push:r_max=1e-2")
+        scores = engine.estimate(graph, local_nodes, settings=SETTINGS)
+        assert scores.extras["estimator"] == engine.name == "push"
+        assert 0.0 <= scores.extras["error_bound"] <= 1e-2
 
 
 class TestExactEngine:
+    """The accuracy request's estimate() is the exact solve."""
+
     def test_bit_identical_to_approxrank(self, graph, local_nodes, prep):
         direct = approxrank(graph, local_nodes, SETTINGS, prep)
-        via_protocol = ExactEstimator().estimate(
+        via_request = PushEstimator(r_max=1e-3).estimate(
             graph, local_nodes, settings=SETTINGS, preprocessor=prep
         )
-        assert np.array_equal(via_protocol.scores, direct.scores)
+        assert np.array_equal(via_request.scores, direct.scores)
         np.testing.assert_array_equal(
-            via_protocol.local_nodes, direct.local_nodes
+            via_request.local_nodes, direct.local_nodes
         )
-        assert via_protocol.method == direct.method
-        assert via_protocol.iterations == direct.iterations
+        assert via_request.method == direct.method
+        assert via_request.iterations == direct.iterations
+        assert via_request.residual == direct.residual
 
     def test_protocol_extras_present(self, graph, local_nodes, prep):
-        scores = ExactEstimator().estimate(
+        scores = PushEstimator(r_max=1e-3).estimate(
             graph, local_nodes, settings=SETTINGS, preprocessor=prep
         )
-        assert scores.extras["estimator"] == "exact"
-        assert scores.extras["error_bound"] == 0.0
-        assert scores.extras["edges_touched"] > 0
+        assert scores.extras["estimator"] == "push"
+        assert scores.extras["r_max"] == 1e-3
+        assert scores.extras["error_bound"] == pytest.approx(
+            scores.residual / (1.0 - SETTINGS.damping)
+        )
+        assert "lambda_score" in scores.extras

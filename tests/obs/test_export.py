@@ -27,9 +27,6 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "prometheus_golden.txt"
 UPDATES_GOLDEN_PATH = (
     Path(__file__).parent / "data" / "prometheus_updates_golden.txt"
 )
-ESTIMATE_GOLDEN_PATH = (
-    Path(__file__).parent / "data" / "prometheus_estimate_golden.txt"
-)
 SEMANTIC_GOLDEN_PATH = (
     Path(__file__).parent / "data" / "prometheus_semantic_golden.txt"
 )
@@ -122,59 +119,6 @@ def updates_golden_registry() -> MetricsRegistry:
     return reg
 
 
-def estimate_golden_registry() -> MetricsRegistry:
-    """A fixed estimator workload pinned by the estimate golden file.
-
-    Populated through :func:`record_estimate_metrics` itself — the
-    exact publishing path the engines use — with synthetic
-    ``SubgraphScores`` carrying fixed accounting, so the golden file
-    pins the ``repro_estimate_*`` family names, labels and bucket
-    layouts end to end.
-    """
-    import numpy as np
-
-    from repro.estimation.base import record_estimate_metrics
-    from repro.pagerank.result import SubgraphScores
-
-    reg = MetricsRegistry()
-    record_estimate_metrics(
-        SubgraphScores(
-            local_nodes=np.arange(3, dtype=np.int64),
-            scores=np.full(3, 1 / 3),
-            method="approxrank",
-            iterations=12,
-            residual=1e-10,
-            converged=True,
-            runtime_seconds=0.25,
-            extras={
-                "estimator": "exact",
-                "error_bound": 0.0,
-                "edges_touched": 1200,
-            },
-        ),
-        registry=reg,
-    )
-    record_estimate_metrics(
-        SubgraphScores(
-            local_nodes=np.arange(3, dtype=np.int64),
-            scores=np.full(3, 1 / 3),
-            method="approxrank-push",
-            iterations=4,
-            residual=8e-4,
-            converged=True,
-            runtime_seconds=0.004,
-            extras={
-                "estimator": "push",
-                "error_bound": 8e-4,
-                "edges_touched": 300,
-                "pushes": 25,
-            },
-        ),
-        registry=reg,
-    )
-    return reg
-
-
 def semantic_golden_registry() -> MetricsRegistry:
     """A fixed semantic workload pinned by the semantic golden file.
 
@@ -190,7 +134,7 @@ def semantic_golden_registry() -> MetricsRegistry:
     from repro.semantic.metrics import record_semantic_metrics
     from repro.semantic.pipeline import SemanticAnswer
 
-    def answer(estimator, estimated, bound, pruned, merges, size):
+    def answer(estimator, bound, pruned, merges, size):
         return SemanticAnswer(
             hits=(),
             local_nodes=np.arange(size, dtype=np.int64),
@@ -206,7 +150,6 @@ def semantic_golden_registry() -> MetricsRegistry:
             ),
             query_digest="0" * 64,
             estimator=estimator,
-            estimated=estimated,
             error_bound=bound,
             candidates_pruned=pruned,
             dedup_merges=merges,
@@ -215,10 +158,10 @@ def semantic_golden_registry() -> MetricsRegistry:
 
     reg = MetricsRegistry()
     record_semantic_metrics(
-        answer("exact", False, 0.0, 83, 2, 51), registry=reg
+        answer("exact", 0.0, 83, 2, 51), registry=reg
     )
     record_semantic_metrics(
-        answer("push", True, 0.02, 40, 0, 7), registry=reg
+        answer("push", 0.02, 40, 0, 7), registry=reg
     )
     return reg
 
@@ -236,9 +179,6 @@ class TestPrometheusText:
         text = to_prometheus_text(semantic_golden_registry().snapshot())
         assert text == SEMANTIC_GOLDEN_PATH.read_text(encoding="utf-8")
 
-    def test_estimate_family_matches_golden_file(self):
-        text = to_prometheus_text(estimate_golden_registry().snapshot())
-        assert text == ESTIMATE_GOLDEN_PATH.read_text(encoding="utf-8")
 
     def test_histogram_buckets_are_cumulative_and_end_at_count(self):
         text = to_prometheus_text(golden_registry().snapshot())
@@ -292,14 +232,6 @@ class TestParsePrometheusText:
         )
         assert parsed["families"] == (
             updates_golden_registry().snapshot()["families"]
-        )
-
-    def test_estimate_golden_file_parses_back_to_the_registry(self):
-        parsed = parse_prometheus_text(
-            ESTIMATE_GOLDEN_PATH.read_text(encoding="utf-8")
-        )
-        assert parsed["families"] == (
-            estimate_golden_registry().snapshot()["families"]
         )
 
     def test_semantic_golden_file_parses_back_to_the_registry(self):
@@ -493,24 +425,37 @@ class TestRenderReport:
         report = render_report(build_snapshot(golden_registry()))
         assert "Updates (incremental re-ranking)" not in report
 
-    def test_estimation_section_renders_from_estimate_metrics(self):
-        report = render_report(
-            build_snapshot(estimate_golden_registry())
-        )
-        assert "Estimation (sublinear engines)" in report
-        assert "exact" in report
-        assert "edges 1200" in report
-        assert "mean 250.0ms" in report
-        assert "mean bound 0.00e+00" in report
-        assert "push" in report
-        assert "edges 300" in report
-        assert "mean bound 8.00e-04" in report
-        assert "residual pushes 25" in report
-        assert "walks" not in report
-
     def test_estimation_section_absent_without_estimate_traffic(self):
-        report = render_report(build_snapshot(golden_registry()))
-        assert "Estimation (sublinear engines)" not in report
+        # An accuracy request is answered by the exact path: it
+        # publishes no estimator families of its own, so obs-report
+        # has no estimation section even with push-spec traffic.
+        import asyncio
+
+        import numpy as np
+
+        from repro.generators.datasets import make_tiny_web
+        from repro.obs.metrics import REGISTRY
+        from repro.serve.server import RankingService
+
+        # The process-wide registry: where an engine's own metrics
+        # would land.
+        service = RankingService(make_tiny_web(num_pages=200, seed=3).graph)
+
+        async def main():
+            outcome = await service.rank_with_meta(
+                np.arange(20, 60), estimator="push:r_max=1e-3"
+            )
+            await service.close()
+            return outcome
+
+        assert asyncio.run(main()).estimator == "push"
+        snapshot = build_snapshot(REGISTRY)
+        families = snapshot["metrics"]["families"]
+        assert "repro_serve_store_misses_total" in families
+        assert not [
+            name for name in families if name.startswith("repro_estimate_")
+        ]
+        assert "Estimation" not in render_report(snapshot)
 
     def test_semantic_section_renders_from_semantic_metrics(self):
         report = render_report(

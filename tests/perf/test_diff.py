@@ -86,51 +86,29 @@ class TestClassification:
             diff_records(record(), record(), threshold=-0.1)
 
 
-def estimation_record(**point_overrides):
-    base = {
-        "estimator": "push",
-        "r_max": 1e-3,
-        "error_inf": 1e-3,
-        "edges_touched": 5000,
-        "edges_fraction": 0.04,
-        "seconds": 0.5,
-    }
-    base.update(point_overrides)
+def semantic_record(**push_overrides):
+    """A BENCH_semantic-shaped record: one family whose accuracy
+    request carries the certified bound and the measured error."""
+    push = {"r_max": 1e-3, "error_l1": 1e-5, "error_bound": 6e-5}
+    push.update(push_overrides)
     return {
-        "benchmark": "estimation",
+        "benchmark": "semantic",
         "gate_passed": True,
-        "sweep": [base],
+        "families": [{"family": "TS", "nodes": 265, "push": push}],
     }
 
 
 class TestEstimationDirections:
-    """Per-benchmark overrides: error/edges regress when they grow."""
+    """Per-benchmark overrides: the accuracy request's error regresses
+    when it grows."""
 
     def test_larger_error_is_a_regression(self):
         report = diff_records(
-            estimation_record(), estimation_record(error_inf=2e-3)
+            semantic_record(), semantic_record(error_l1=2e-5)
         )
-        assert any(
-            e["metric"].endswith("error_inf")
-            for e in report["regressions"]
-        )
-
-    def test_fewer_edges_touched_is_an_improvement(self):
-        report = diff_records(
-            estimation_record(),
-            estimation_record(edges_touched=2500, edges_fraction=0.02),
-        )
-        assert report["regressions"] == []
-        improved = {e["metric"] for e in report["improvements"]}
-        assert any(m.endswith("edges_touched") for m in improved)
-        assert any(m.endswith("edges_fraction") for m in improved)
-
-    def test_sweep_points_keyed_by_estimator_and_parameter(self):
-        report = diff_records(
-            estimation_record(), estimation_record(error_inf=2e-3)
-        )
-        metric = report["regressions"][0]["metric"]
-        assert metric.startswith("sweep[push/r_max=0.001]")
+        assert [e["metric"] for e in report["regressions"]] == [
+            "families[TS].push.error_l1"
+        ]
 
     def test_overrides_scoped_to_the_estimation_benchmark(self):
         # The same leaf names stay neutral in other benchmarks.

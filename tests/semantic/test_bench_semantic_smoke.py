@@ -3,8 +3,8 @@
 Excluded from the tier-1 run by the ``tier2`` marker; CI runs it via
 ``make bench-semantic-smoke``.  Both clauses are never waived: the
 identical query on a freshly rebuilt pipeline must reproduce the
-answer bit-for-bit, and every push run's measured L1 error must sit
-under its certified bound.
+answer bit-for-bit, and every family's measured L1 error must sit
+under the certified bound of its ``push:r_max`` accuracy request.
 """
 
 import pytest
@@ -41,6 +41,7 @@ class TestSmokeGate:
             push = family["push"]
             assert push["certificate_ok"], family
             assert push["error_l1"] <= push["error_bound"] + 1e-9
+            assert push["error_bound"] <= push["r_max"]
 
     def test_nothing_is_waived(self, smoke_record):
         assert smoke_record["waivers"] == []

@@ -1,10 +1,12 @@
 """The end-to-end semantic pipeline: select → rank → dedup."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.approxrank import approxrank
-from repro.exceptions import DatasetError, SubgraphError
+from repro.exceptions import DatasetError, EstimationError, SubgraphError
 from repro.obs.metrics import MetricsRegistry
 from repro.search.lexicon import SyntheticLexicon
 from repro.semantic import record_semantic_metrics, semantic_subgraph
@@ -110,7 +112,6 @@ class TestRun:
     def test_exact_run_matches_direct_approxrank(self, pipeline, web):
         answer = pipeline.run(QUERY, k=5)
         assert answer.estimator == "exact"
-        assert answer.estimated is False
         assert answer.error_bound == 0.0
         offline = approxrank(
             web.graph, answer.local_nodes, pipeline.settings
@@ -118,17 +119,28 @@ class TestRun:
         assert np.array_equal(answer.scores.scores, offline.scores)
 
     def test_estimated_run_is_flagged_with_bound(self, pipeline, web):
+        # An accuracy request runs the exact solve: the same answer,
+        # bit for bit, plus its certified bound over the n+1 vector.
         answer = pipeline.run(
             QUERY, k=5, estimator="push:r_max=1e-3"
         )
+        plain = pipeline.run(QUERY, k=5)
         assert answer.estimator == "push"
-        assert answer.estimated is True
-        assert answer.error_bound > 0.0
-        exact = approxrank(
-            web.graph, answer.local_nodes, pipeline.settings
+        assert answer.answer_pages() == plain.answer_pages()
+        assert np.array_equal(answer.scores.scores, plain.scores.scores)
+        assert 0.0 < answer.error_bound <= 1e-3
+        truth = approxrank(
+            web.graph,
+            answer.local_nodes,
+            replace(pipeline.settings, tolerance=1e-12),
         )
-        gap = np.abs(answer.scores.scores - exact.scores).sum()
+        gap = np.abs(answer.scores.scores - truth.scores).sum() + abs(
+            answer.scores.extras["lambda_score"]
+            - truth.extras["lambda_score"]
+        )
         assert gap <= answer.error_bound
+        with pytest.raises(EstimationError, match="r_max"):
+            pipeline.run(QUERY, k=5, estimator="push:r_max=1e-9")
 
     def test_rejects_bad_k(self, pipeline):
         with pytest.raises(DatasetError, match="k must be"):

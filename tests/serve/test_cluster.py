@@ -278,6 +278,26 @@ class TestDegradedServing:
             assert wire.extras.get("degraded") is True
             assert np.array_equal(wire.scores, offline.scores)
 
+    def test_degraded_accuracy_request_carries_its_bound(
+        self, web, offline
+    ):
+        with _cluster(
+            web, shards=1, replicas=1, attempt_timeout=0.5
+        ) as handle:
+            client = RankingClient(*handle.address)
+            client.rank(NODES)  # seeds the router-local store
+            handle.manager.kill(0, 0)
+            wire = client.rank(NODES, estimator="push:r_max=1e-3")
+            assert wire["degraded"] is True
+            assert wire["estimator"] == "push"
+            assert 0.0 < wire["error_bound"] <= 1e-3
+            assert wire["scores"] == offline.scores.tolist()
+            # Last-known scores cannot meet an r_max below their
+            # certified bound: an honest 503, not a looser answer.
+            with pytest.raises(ServeRequestError) as excinfo:
+                client.rank(NODES, estimator="push:r_max=1e-15")
+            assert excinfo.value.status == 503
+
     def test_no_cached_scores_is_honest_503(self, web):
         with _cluster(
             web, shards=1, replicas=1, attempt_timeout=0.5

@@ -207,49 +207,57 @@ class TestPersistence:
     ):
         """Regression: persist used to keep only ``lambda_score``.
 
-        Estimated entries carry their certificate in ``extras``
-        (``error_bound``, ``edges_touched``, ``estimator``) plus the
-        stale flag, staleness charge and variant key — all of which
-        must survive a persist/warm_load cycle, or a restarted server
-        would serve estimates unflagged and uncertified.
+        The full ``extras`` (an accuracy request's certificate
+        included) plus the stale flag and staleness charge must
+        survive a persist/warm_load cycle, and an archive tagged with
+        the ``"exact"`` variant — the format older stores wrote —
+        still loads into the one exact slot.
         """
         from dataclasses import replace
 
-        estimated = replace(
+        certified = replace(
             scores,
             extras={
                 **scores.extras,
                 "estimator": "push",
                 "error_bound": 0.0125,
-                "edges_touched": 4321,
-                "pushes": 500,
                 "r_max": 0.02,
             },
         )
-        variant = "push:r_max=0.02"
         store = ScoreStore(registry=MetricsRegistry())
         store.put(
-            graph, nodes, 0.85, estimated,
-            stale=True, staleness=0.0125, variant=variant,
+            graph, nodes, 0.85, certified, stale=True, staleness=0.0125
         )
         assert store.persist(tmp_path) == 1
+        _tag_variant(tmp_path, "exact")
 
         fresh = ScoreStore(registry=MetricsRegistry())
         assert fresh.warm_load(tmp_path, graph) == 1
-        hit = fresh.lookup(graph, nodes, 0.85, variant=variant)
+        hit = fresh.lookup(graph, nodes, 0.85)
         assert hit is not None
         np.testing.assert_array_equal(
-            hit.scores.scores, estimated.scores
+            hit.scores.scores, certified.scores
         )
         assert hit.scores.extras["estimator"] == "push"
         assert hit.scores.extras["error_bound"] == 0.0125
-        assert hit.scores.extras["edges_touched"] == 4321
-        assert hit.scores.extras["pushes"] == 500
         assert hit.scores.extras["r_max"] == 0.02
         assert hit.stale is True
         assert hit.staleness == 0.0125
-        # The exact slot is untouched by the estimated entry.
-        assert fresh.get(graph, nodes, 0.85) is None
+
+    def test_non_exact_variant_archive_is_not_served(
+        self, tmp_path, graph, nodes, scores
+    ):
+        # An archive of the retired push engine holds push estimates,
+        # not an exact solve: loading it would serve it as
+        # bit-identical.  warm_load skips it.
+        store = ScoreStore(registry=MetricsRegistry())
+        store.put(graph, nodes, 0.85, scores)
+        assert store.persist(tmp_path) == 1
+        _tag_variant(tmp_path, "push:r_max=0.001")
+
+        fresh = ScoreStore(registry=MetricsRegistry())
+        assert fresh.warm_load(tmp_path, graph) == 0
+        assert fresh.lookup(graph, nodes, 0.85) is None
 
     def test_exact_entry_stale_state_survives_restart(
         self, tmp_path, graph, nodes, scores
@@ -268,6 +276,15 @@ class TestPersistence:
         assert hit is not None
         assert hit.stale is True
         assert hit.staleness == 0.25
+
+
+def _tag_variant(directory, variant: str) -> None:
+    """Rewrite every persisted archive with a ``variant`` field, as
+    stores that keyed entries by estimator wrote them."""
+    for path in directory.glob("entry-*.npz"):
+        with np.load(path) as archive:
+            fields = {name: archive[name] for name in archive.files}
+        np.savez(path, variant=np.str_(variant), **fields)
 
 
 class TestApplyUpdate:
@@ -618,16 +635,18 @@ class TestStalenessBudget:
 
 @pytest.mark.estimation
 class TestComposedCertificate:
-    """Estimate, then k updates: the served staleness still certifies.
+    """Solve, then k updates: the served bound still certifies.
 
-    Mirrors the serve path end to end — ``put`` with the estimate's
-    ``error_bound`` as its staleness, as ``RankingService`` does, then
-    chained ``apply_update`` charges with no refresher — and checks
-    the served ``staleness`` against the measured L1 gap over the
+    Mirrors the serve path end to end — ``put`` of the exact solve, as
+    ``RankingService`` does for every request, then chained
+    ``apply_update`` charges with no refresher — and checks the bound
+    each request is served with against the measured L1 gap over the
     extended vector (local pages plus Λ) to ``approxrank`` on the
-    graph as it stands after each update.  The last link is a float32
-    warm refresh, as the service's background refresher runs it when
-    float32 is the process default.
+    graph as it stands after each update: the entry's ``staleness``
+    for a plain request, the accuracy request's ``error_bound``
+    (truncation plus staleness) for a push spec.  The last link is a
+    float32 warm refresh, as the service's background refresher runs
+    it when float32 is the process default.
     """
 
     UPDATES = 4
@@ -636,22 +655,14 @@ class TestComposedCertificate:
     NODES = np.arange(40, 120, dtype=np.int64)
 
     def _chain(self, spec, seed):
-        """Estimate, put, then yield ``(graph, store, engine)`` after
+        """Solve, put, then yield ``(graph, store, request)`` after
         each of the k updates."""
         settings = self.SETTINGS
         graph = random_digraph(400, mean_degree=5.0, seed=seed)
-        engine = resolve_estimator(spec)
-        estimate = engine.estimate(graph, self.NODES, settings=settings)
+        request = resolve_estimator(spec)
+        solved = approxrank(graph, self.NODES, settings)
         store = ScoreStore(registry=MetricsRegistry())
-        store.put(
-            graph,
-            self.NODES,
-            settings.damping,
-            estimate,
-            stale=engine.name != "exact",
-            staleness=estimate.extras["error_bound"],
-            variant=engine.variant,
-        )
+        store.put(graph, self.NODES, settings.damping, solved)
         region = np.arange(0, 200, dtype=np.int64)
         for step in range(self.UPDATES):
             delta = random_region_delta(
@@ -660,7 +671,12 @@ class TestComposedCertificate:
             new_graph = apply_delta(graph, delta)
             store.apply_update(graph, new_graph, delta=delta)
             graph = new_graph
-            yield graph, store, engine
+            yield graph, store, request
+
+    def _served_bound(self, request, hit):
+        if request is None:
+            return hit.staleness
+        return request.error_bound(hit.scores, self.SETTINGS, hit.staleness)
 
     def _gap_to_truth(self, graph, served):
         truth = approxrank(graph, self.NODES, self.SETTINGS)
@@ -672,15 +688,15 @@ class TestComposedCertificate:
     @pytest.mark.parametrize("spec", SPECS)
     def test_staleness_bounds_l1_gap_after_every_update(self, spec, seed):
         damping = self.SETTINGS.damping
-        for step, (graph, store, engine) in enumerate(
+        for step, (graph, store, request) in enumerate(
             self._chain(spec, seed)
         ):
-            hit = store.lookup(
-                graph, self.NODES, damping, variant=engine.variant
-            )
+            hit = store.lookup(graph, self.NODES, damping)
             assert hit is not None, f"evicted after update {step}"
             gap = self._gap_to_truth(graph, hit.scores)
-            assert gap <= hit.staleness, (spec, seed, step)
+            assert gap <= self._served_bound(request, hit), (
+                spec, seed, step,
+            )
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_float32_refresh_keeps_staleness_sound(self, spec):
@@ -688,7 +704,7 @@ class TestComposedCertificate:
         ``RankingService._refresh_entry_sync`` does with float32 as
         the process default: warm start from the stale entry, re-put
         stale with ``(residual + tol)/(1−ε)``.  The float64 answer must
-        stay within the served staleness."""
+        stay within the served bound, read with float32 active."""
         from dataclasses import replace
 
         from repro.core.precompute import ApproxRankPreprocessor
@@ -696,10 +712,8 @@ class TestComposedCertificate:
 
         damping = self.SETTINGS.damping
         for seed in (3, 17, 29):
-            *__, (graph, store, engine) = self._chain(spec, seed)
-            old = store.lookup(
-                graph, self.NODES, damping, variant=engine.variant
-            ).scores
+            *__, (graph, store, request) = self._chain(spec, seed)
+            old = store.lookup(graph, self.NODES, damping).scores
             initial = np.concatenate(
                 [old.scores, [old.extras["lambda_score"]]]
             )
@@ -709,18 +723,81 @@ class TestComposedCertificate:
                 fresh = ApproxRankPreprocessor(graph).rank(
                     self.NODES, settings, initial=initial
                 )
+                store.put(
+                    graph,
+                    np.asarray(fresh.local_nodes),
+                    damping,
+                    fresh,
+                    stale=True,
+                    staleness=(fresh.residual + settings.tolerance)
+                    / (1.0 - damping),
+                )
+                hit = store.lookup(graph, self.NODES, damping)
+                bound = self._served_bound(request, hit)
             finally:
                 set_default_backend(None)
-            store.put(
-                graph,
-                np.asarray(fresh.local_nodes),
-                damping,
-                fresh,
-                stale=True,
-                staleness=(fresh.residual + settings.tolerance)
-                / (1.0 - damping),
-            )
-            hit = store.lookup(graph, self.NODES, damping)
             assert hit.scores is fresh
             gap = self._gap_to_truth(graph, hit.scores)
-            assert gap <= hit.staleness, (spec, seed, gap, hit.staleness)
+            assert gap <= bound, (spec, seed, gap, bound)
+
+
+class TestCertificateChecks:
+    """``put`` refuses an entry that breaks a certificate condition —
+    one bad entry per clause."""
+
+    def _put(self, graph, nodes, scores, staleness=0.0):
+        ScoreStore(registry=MetricsRegistry()).put(
+            graph, nodes, 0.85, scores, stale=staleness > 0,
+            staleness=staleness,
+        )
+
+    def _with_scores(self, scores, values, **extras):
+        from dataclasses import replace
+
+        return replace(
+            scores,
+            scores=np.asarray(values, dtype=np.float64),
+            extras={**scores.extras, **extras},
+        )
+
+    def test_a_valid_entry_is_accepted(self, graph, nodes, scores):
+        self._put(graph, nodes, scores, staleness=0.5)
+
+    def test_non_finite_scores_refused(self, graph, nodes, scores):
+        values = scores.scores.copy()
+        values[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            self._put(graph, nodes, self._with_scores(scores, values))
+
+    def test_negative_score_refused(self, graph, nodes, scores):
+        values = scores.scores.copy()
+        values[3] = -1e-6
+        with pytest.raises(ValueError, match="negative"):
+            self._put(graph, nodes, self._with_scores(scores, values))
+
+    def test_mass_above_one_refused(self, graph, nodes, scores):
+        # The local scores are fine; Λ pushes the n+1 mass over 1.
+        lam = 1.0 - float(scores.scores.sum()) + 1e-6
+        bad = self._with_scores(scores, scores.scores, lambda_score=lam)
+        with pytest.raises(ValueError, match="mass"):
+            self._put(graph, nodes, bad)
+
+    def test_warm_load_skips_an_archive_failing_the_check(
+        self, tmp_path, graph, nodes, scores
+    ):
+        store = ScoreStore(registry=MetricsRegistry())
+        store.put(graph, nodes, 0.85, scores)
+        store.persist(tmp_path)
+        (path,) = tmp_path.glob("entry-*.npz")
+        with np.load(path) as archive:
+            fields = {name: archive[name] for name in archive.files}
+        fields["scores"] = -fields["scores"]
+        np.savez(path, **fields)
+        fresh = ScoreStore(registry=MetricsRegistry())
+        assert fresh.warm_load(tmp_path, graph) == 0
+        assert fresh.lookup(graph, nodes, 0.85) is None
+
+    @pytest.mark.parametrize("staleness", [-0.1, float("nan"), np.inf])
+    def test_bad_staleness_refused(self, graph, nodes, scores, staleness):
+        with pytest.raises(ValueError, match="staleness"):
+            self._put(graph, nodes, scores, staleness=staleness)
