@@ -5,20 +5,19 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
+# Every registered benchmark (repro.perf.harness.REGISTRY).
+BENCHES := $(shell PYTHONPATH=src $(PYTHON) -c "from repro.perf.harness import REGISTRY; print(*REGISTRY)")
+
 .PHONY: test test-tier2 test-all chaos chaos-serve obs-smoke \
 	serve-smoke cluster-smoke update-smoke estimate-smoke \
-	bench-kernels bench-kernels-smoke bench-parallel \
-	bench-parallel-smoke bench-serve bench-serve-smoke \
-	bench-backends bench-backends-smoke test-backends \
-	bench-updates bench-updates-smoke bench-shard \
-	bench-shard-smoke semantic-smoke bench-semantic bench-semantic-smoke \
-	bench-e2e bench-e2e-smoke bench-check
+	test-backends semantic-smoke bench-e2e bench-e2e-smoke bench-check \
+	$(addprefix bench-,$(BENCHES)) $(addsuffix -smoke,$(addprefix bench-,$(BENCHES)))
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 test-tier2:
-	$(PYTHON) -m pytest -q -m tier2 tests/perf tests/parallel
+	$(PYTHON) -m pytest -q -m tier2 tests
 
 # Solver precision alone (tier-1 float64/float32 agreement sweep +
 # tier-2 bench gate).
@@ -73,82 +72,21 @@ update-smoke:
 estimate-smoke:
 	$(PYTHON) -m pytest -q -m "estimation and not tier2" tests/estimation tests/serve/test_estimator_serve.py tests/serve/test_store.py
 
-# Full benchmark; writes BENCH_solver.json at the repo root.
-bench-kernels:
-	$(PYTHON) benchmarks/bench_solver_kernels.py
+# Full benchmark run: `make bench-NAME` writes its BENCH_*.json record
+# at the repo root (see `python -m repro bench NAME`).
+$(addprefix bench-,$(BENCHES)): bench-%:
+	$(PYTHON) -m repro bench $*
 
-# CI tier-2 gate: small workload, non-zero exit when the batched
-# solver is not faster than K sequential single solves.
-bench-kernels-smoke:
-	$(PYTHON) benchmarks/bench_solver_kernels.py --smoke --output /tmp/BENCH_solver_smoke.json
-
-# Full scaling benchmark; writes BENCH_parallel.json at the repo root.
-bench-parallel:
-	$(PYTHON) benchmarks/bench_parallel.py
-
-# CI tier-2 gate: small workload; requires exact serial/parallel score
-# agreement always, and a wall-clock win when the machine has cores.
-bench-parallel-smoke:
-	$(PYTHON) benchmarks/bench_parallel.py --smoke --output /tmp/BENCH_parallel_smoke.json
-
-# Full serving benchmark; writes BENCH_serve.json at the repo root.
-bench-serve:
-	$(PYTHON) benchmarks/bench_serve.py
-
-# CI tier-2 gate: small workload; always requires batched-vs-offline
-# agreement and singleton bit-identity; the speedup clause is waived
-# on single-core machines only.
-bench-serve-smoke:
-	$(PYTHON) benchmarks/bench_serve.py --smoke --output /tmp/BENCH_serve_smoke.json
-
-# Full backend benchmark; writes BENCH_backend.json at the repo root.
-bench-backends:
-	$(PYTHON) benchmarks/bench_backends.py
-
-# CI tier-2 gate: small workload; float32 scores must land within their
-# documented L1 bound of float64.  The speedup is recorded, not gated.
-bench-backends-smoke:
-	$(PYTHON) benchmarks/bench_backends.py --smoke --output /tmp/BENCH_backend_smoke.json
-
-# Full update-stream benchmark; writes BENCH_update.json at the repo
-# root.
-bench-updates:
-	$(PYTHON) benchmarks/bench_updates.py
-
-# CI tier-2 gate: small churn stream; the warm/cold accuracy clause
-# and the Theorem-2 staleness clause are never waived; the
-# iterations-saved ratio clause is waived (and recorded) only when
-# cold solves have no burn-in worth skipping.
-bench-updates-smoke:
-	$(PYTHON) benchmarks/bench_updates.py --smoke --output /tmp/BENCH_update_smoke.json
-
-# Full shard-sweep benchmark; writes BENCH_shard.json at the repo
-# root.
-bench-shard:
-	$(PYTHON) benchmarks/bench_shard.py
-
-# CI tier-2 gate: small fleet sweep; the routed-vs-offline
-# bit-identity clause is never waived; the speedup clause is waived
-# (and recorded) on single-core machines only.
-bench-shard-smoke:
-	$(PYTHON) benchmarks/bench_shard.py --smoke --output /tmp/BENCH_shard_smoke.json
+# CI tier-2 gate: the smoke workload; non-zero exit when a clause
+# neither passes nor is waived (the failing clauses are named).
+$(addsuffix -smoke,$(addprefix bench-,$(BENCHES))): bench-%-smoke:
+	$(PYTHON) -m repro bench $* --fast --output /tmp/BENCH_$*_smoke.json
 
 # Semantic smoke: the tier-1 semantic suite (embeddings determinism
 # and persistence, retrieval, dedup, pipeline), the family contract
 # test, and the /semantic-search serving pins.
 semantic-smoke:
 	$(PYTHON) -m pytest -q -m "semantic and not tier2" tests/semantic tests/subgraphs/test_family_contract.py tests/serve/test_semantic_serve.py
-
-# Full semantic diversity benchmark; writes BENCH_semantic.json at
-# the repo root.
-bench-semantic:
-	$(PYTHON) benchmarks/bench_semantic.py
-
-# CI tier-2 gate: small workload; the determinism clause (same
-# seed+query -> identical answer set) and certificate honesty of the
-# accuracy request are never waived.
-bench-semantic-smoke:
-	$(PYTHON) benchmarks/bench_semantic.py --smoke --output /tmp/BENCH_semantic_smoke.json
 
 # End-to-end serving benchmark: boots the real server as a separate
 # process and drives every workload over HTTP; prints each metric and
@@ -164,17 +102,8 @@ bench-e2e-smoke:
 # committed one; --strict turns regressions above the noise threshold
 # into a non-zero exit.
 bench-check:
-	$(PYTHON) benchmarks/bench_solver_kernels.py --output /tmp/BENCH_solver_check.json > /dev/null
-	$(PYTHON) -m repro bench-diff BENCH_solver.json /tmp/BENCH_solver_check.json --strict
-	$(PYTHON) benchmarks/bench_parallel.py --output /tmp/BENCH_parallel_check.json > /dev/null
-	$(PYTHON) -m repro bench-diff BENCH_parallel.json /tmp/BENCH_parallel_check.json --strict
-	$(PYTHON) benchmarks/bench_serve.py --output /tmp/BENCH_serve_check.json > /dev/null
-	$(PYTHON) -m repro bench-diff BENCH_serve.json /tmp/BENCH_serve_check.json --strict
-	$(PYTHON) benchmarks/bench_backends.py --output /tmp/BENCH_backend_check.json > /dev/null
-	$(PYTHON) -m repro bench-diff BENCH_backend.json /tmp/BENCH_backend_check.json --strict
-	$(PYTHON) benchmarks/bench_updates.py --output /tmp/BENCH_update_check.json > /dev/null
-	$(PYTHON) -m repro bench-diff BENCH_update.json /tmp/BENCH_update_check.json --strict
-	$(PYTHON) benchmarks/bench_shard.py --output /tmp/BENCH_shard_check.json > /dev/null
-	$(PYTHON) -m repro bench-diff BENCH_shard.json /tmp/BENCH_shard_check.json --strict
-	$(PYTHON) benchmarks/bench_semantic.py --output /tmp/BENCH_semantic_check.json > /dev/null
-	$(PYTHON) -m repro bench-diff BENCH_semantic.json /tmp/BENCH_semantic_check.json --strict
+	@set -e; for bench in $(BENCHES); do \
+		record=$$($(PYTHON) -c "from repro.perf.harness import load_bench; print(load_bench('$$bench').record)"); \
+		$(PYTHON) -m repro bench $$bench --output /tmp/$$record > /dev/null; \
+		$(PYTHON) -m repro bench-diff $$record /tmp/$$record --strict; \
+	done

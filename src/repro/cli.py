@@ -62,23 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         choices=sorted(SINGLE_EXPERIMENTS)
         + [
-            "all", "bench-kernels", "bench-parallel", "bench-serve",
-            "bench-backends", "bench-updates", "bench-shard",
-            "bench-semantic", "bench-diff",
+            "all", "bench", "bench-diff",
             "obs-report", "semantic-search", "serve", "serve-cluster",
             "query",
         ],
         help=(
-            "which experiment to run; 'bench-kernels' runs the solver "
-            "kernel benchmark (BENCH_solver.json), 'bench-parallel' "
-            "the multi-subgraph scaling benchmark (BENCH_parallel.json), "
-            "'bench-serve' the online-service benchmark "
-            "(BENCH_serve.json), 'bench-backends' the solver-precision "
-            "benchmark (BENCH_backend.json), 'bench-updates' the "
-            "incremental re-ranking benchmark (BENCH_update.json), "
-            "'bench-shard' the sharded-cluster benchmark "
-            "(BENCH_shard.json), 'bench-semantic' the TS/RS/semantic diversity benchmark "
-            "(BENCH_semantic.json), 'bench-diff' compares two "
+            "which experiment to run; 'bench NAME' runs one registered "
+            "benchmark (kernels, backends, parallel, serve, updates, "
+            "shard, semantic) and writes its BENCH_*.json record, "
+            "'bench-diff' compares two "
             "benchmark records (regression report), 'obs-report' "
             "renders an observability snapshot written by --obs-out, "
             "'semantic-search' runs one query through the offline "
@@ -92,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshot", nargs="?", default=None, metavar="PATH",
         help=(
             "('obs-report') path of the obs.json snapshot to render "
-            "(default: obs.json); ('bench-diff') the OLD benchmark "
-            "record"
+            "(default: obs.json); ('bench') the benchmark name; "
+            "('bench-diff') the OLD benchmark record"
         ),
     )
     parser.add_argument(
@@ -177,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--output", type=str, default=None,
-        help="also write the report to this file",
+        help=(
+            "also write the report to this file; ('bench') the record "
+            "path (default: the benchmark's BENCH_*.json)"
+        ),
     )
     parser.add_argument(
         "--obs", action="store_true",
@@ -558,6 +553,46 @@ def _run_semantic_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_bench(args: argparse.Namespace) -> int:
+    """The ``bench NAME`` subcommand: one registered benchmark.
+
+    ``--fast`` runs the smoke workload, whose gate sets the exit code;
+    a full run records whatever it measures and exits 0.
+    """
+    from repro.perf.harness import (
+        DEFAULT_SEED,
+        REGISTRY,
+        failing_clauses,
+        load_bench,
+        render_record,
+        run_bench,
+    )
+
+    if args.snapshot not in REGISTRY:
+        print(
+            f"bench requires a benchmark name: python -m repro bench "
+            f"{{{','.join(REGISTRY)}}} [--fast] [--seed S] [--output P]",
+            file=sys.stderr,
+        )
+        return 2
+    output = args.output or load_bench(args.snapshot).record
+    record = run_bench(
+        args.snapshot,
+        smoke=args.fast,
+        seed=args.seed if args.seed is not None else DEFAULT_SEED,
+        output=output,
+    )
+    print(render_record(record))
+    print(f"[record written to {output}]", file=sys.stderr)
+    if args.fast and not record["gate_passed"]:
+        print(
+            "GATE FAILED: " + ", ".join(failing_clauses(record)),
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
@@ -583,6 +618,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.experiment == "bench-diff":
         from repro.perf.diff import (
             DEFAULT_THRESHOLD,
+            SchemaMismatch,
             diff_records,
             format_diff,
             load_record,
@@ -595,15 +631,19 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        report = diff_records(
-            load_record(args.snapshot),
-            load_record(args.snapshot_new),
-            threshold=(
-                args.threshold
-                if args.threshold is not None
-                else DEFAULT_THRESHOLD
-            ),
-        )
+        try:
+            report = diff_records(
+                load_record(args.snapshot),
+                load_record(args.snapshot_new),
+                threshold=(
+                    args.threshold
+                    if args.threshold is not None
+                    else DEFAULT_THRESHOLD
+                ),
+            )
+        except SchemaMismatch as exc:
+            print(f"bench-diff: {exc}", file=sys.stderr)
+            return 2
         print(format_diff(report))
         if args.strict and (report["regressions"] or report["gate_lost"]):
             return 1
@@ -629,117 +669,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parse_faults(args.faults)
         os.environ["REPRO_FAULTS"] = args.faults
 
-    if args.experiment == "bench-kernels":
-        # Perf benchmark, not a paper table: --fast maps to smoke mode
-        # (small workload + hard gate), --output overrides the record
-        # path, --seed seeds the workload.
-        from repro.perf.bench import format_summary, run_kernel_benchmark
-
-        record = run_kernel_benchmark(
-            smoke=args.fast,
-            seed=args.seed if args.seed is not None else 2009,
-            output_path=args.output or "BENCH_solver.json",
-        )
-        print(format_summary(record))
-        return 0 if (not args.fast or record["gate_passed"]) else 1
-
-    if args.experiment == "bench-parallel":
-        # Scaling benchmark for the multi-subgraph batch engine;
-        # --fast maps to smoke mode (small workload + hard gate).
-        from repro.perf.parallel_bench import (
-            format_parallel_summary,
-            run_parallel_benchmark,
-        )
-
-        record = run_parallel_benchmark(
-            smoke=args.fast,
-            seed=args.seed if args.seed is not None else 2009,
-            output_path=args.output or "BENCH_parallel.json",
-        )
-        print(format_parallel_summary(record))
-        return 0 if (not args.fast or record["gate_passed"]) else 1
-
-    if args.experiment == "bench-serve":
-        # Online-service benchmark: micro-batched vs sequential
-        # request solving; --fast maps to smoke mode (hard gate).
-        from repro.serve.bench import (
-            format_serve_summary,
-            run_serve_benchmark,
-        )
-
-        record = run_serve_benchmark(
-            smoke=args.fast,
-            seed=args.seed if args.seed is not None else 2009,
-            output_path=args.output or "BENCH_serve.json",
-        )
-        print(format_serve_summary(record))
-        return 0 if (not args.fast or record["gate_passed"]) else 1
-
-    if args.experiment == "bench-backends":
-        # Solver precision benchmark (float64 vs float32); --fast
-        # maps to smoke mode.
-        from repro.perf.backend_bench import (
-            format_backend_summary,
-            run_backend_benchmark,
-        )
-
-        record = run_backend_benchmark(
-            smoke=args.fast,
-            seed=args.seed if args.seed is not None else 2009,
-            output_path=args.output or "BENCH_backend.json",
-        )
-        print(format_backend_summary(record))
-        return 0 if (not args.fast or record["gate_passed"]) else 1
-
-    if args.experiment == "bench-updates":
-        # Incremental re-ranking benchmark: warm-started vs cold
-        # regional solves over a seeded edge-churn stream; --fast maps
-        # to smoke mode (small workload + hard gate).
-        from repro.updates.bench import (
-            format_update_summary,
-            run_update_benchmark,
-        )
-
-        record = run_update_benchmark(
-            smoke=args.fast,
-            seed=args.seed if args.seed is not None else 2009,
-            output_path=args.output or "BENCH_update.json",
-        )
-        print(format_update_summary(record))
-        return 0 if (not args.fast or record["gate_passed"]) else 1
-
-    if args.experiment == "bench-shard":
-        # Sharded-cluster benchmark: closed-loop load through the
-        # router over a 1/2/4-shard sweep; --fast maps to smoke mode.
-        from repro.serve.cluster.bench import (
-            format_shard_summary,
-            run_shard_benchmark,
-        )
-
-        record = run_shard_benchmark(
-            smoke=args.fast,
-            seed=args.seed if args.seed is not None else 2009,
-            output_path=args.output or "BENCH_shard.json",
-        )
-        print(format_shard_summary(record))
-        return 0 if (not args.fast or record["gate_passed"]) else 1
-
-    if args.experiment == "bench-semantic":
-        # Semantic diversity benchmark: TS/RS/semantic subgraph
-        # families compared on bound tightness and latency; --fast
-        # maps to smoke mode (hard gate).
-        from repro.semantic.bench import (
-            format_semantic_summary,
-            run_semantic_benchmark,
-        )
-
-        record = run_semantic_benchmark(
-            smoke=args.fast,
-            seed=args.seed if args.seed is not None else 2009,
-            output_path=args.output or "BENCH_semantic.json",
-        )
-        print(format_semantic_summary(record))
-        return 0 if (not args.fast or record["gate_passed"]) else 1
+    if args.experiment == "bench":
+        return _run_bench(args)
 
     if args.experiment == "semantic-search":
         return _run_semantic_search(args)

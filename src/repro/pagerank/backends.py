@@ -27,7 +27,7 @@ through the standard damped-contraction argument (DESIGN.md §11):
     ‖x32 − x64‖₁ ≤ (tol32_eff + tol64) / (1 − damping)
 
 :func:`float32_l1_bound` is that documented bound; the benchmark gate
-(``benchmarks/bench_backends.py``) and the tier-1 agreement tests
+(``python -m repro bench backends``) and the tier-1 agreement tests
 enforce it.
 
 Selection

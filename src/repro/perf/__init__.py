@@ -1,14 +1,18 @@
-"""Performance infrastructure: caches and benchmark harnesses.
+"""Performance infrastructure: caches and the benchmark harness.
 
 This package holds the machinery that keeps repeated ranking work from
-redoing structural computation:
+redoing structural computation, and the one harness that measures it:
 
 * :mod:`repro.perf.cache` — a graph-identity-keyed cache of transition
   matrices, their transposes and per-subgraph local-block bundles, so
   repeated solves on the same (sub)graph never rebuild CSR structures.
-* :mod:`repro.perf.bench` — the solver-kernel benchmark behind
-  ``benchmarks/bench_solver_kernels.py`` and the
-  ``python -m repro bench-kernels`` CLI subcommand.
+* :mod:`repro.perf.harness` — the benchmark runner behind
+  ``python -m repro bench NAME``: one registry of declarative specs,
+  shared timing primitives, gates with waivers and self-describing
+  records.
+* :mod:`repro.perf.bench`, :mod:`repro.perf.backend_bench` and
+  :mod:`repro.perf.parallel_bench` — the ``kernels``, ``backends``
+  and ``parallel`` specs; :mod:`repro.perf.diff` compares records.
 """
 
 from repro.perf.cache import (

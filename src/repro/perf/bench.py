@@ -1,10 +1,9 @@
 """Solver-kernel benchmark: single vs batched vs cached.
 
-This is the measurement harness behind
-``benchmarks/bench_solver_kernels.py`` and the
-``python -m repro bench-kernels`` CLI subcommand.  It times the three
-legs of the performance layer on an ObjectRank-style reference
-workload (K personalised walks over one web-like graph):
+The spec behind ``python -m repro bench kernels`` (record:
+``BENCH_solver.json``).  It times the legs of the performance layer on
+an ObjectRank-style reference workload (K personalised walks over one
+web-like graph):
 
 * **single** — K sequential :func:`repro.pagerank.solver.power_iteration`
   calls, one per teleport vector;
@@ -15,24 +14,21 @@ workload (K personalised walks over one web-like graph):
   :class:`repro.perf.cache.TransitionCache`;
 * **allocations** — ``tracemalloc`` peak memory of the iteration loop
   for the seed-style allocating step vs the in-place kernel step;
-* **observability** — the sequential leg re-timed with the
-  :mod:`repro.obs.telemetry` recording hooks stubbed out, gating the
-  always-on instrumentation (null spans + registry counters) to <2%
-  overhead.
+* **observability** — the sequential leg with the
+  :mod:`repro.obs.telemetry` recording hooks live vs stubbed out,
+  timed as paired arms, gating the always-on instrumentation (null
+  spans + registry counters) to <2% overhead.
 
-The record is written to ``BENCH_solver.json`` so the performance
-trajectory is tracked across PRs.  In smoke mode (small graph, CI
-tier-2 gate) the run *fails* — ``gate_passed`` False and exit code 1
-from the script — if the batched kernel is not faster than K
-independent single solves on the same workload.
+The gate: batched strictly faster than K single solves, the kernels
+allocating strictly less than the legacy step, and the telemetry
+overhead within budget (waived below a 5 ms absolute noise floor,
+where one scheduler blip exceeds 2% of a smoke-sized leg).
 """
 
 from __future__ import annotations
 
-import json
-import time
 import tracemalloc
-from typing import Any
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -46,14 +42,23 @@ from repro.pagerank.kernels import (
 )
 from repro.pagerank.solver import PowerIterationSettings, power_iteration
 from repro.perf.cache import TransitionCache
-
-#: Default record location (repo root when run from the checkout).
-DEFAULT_OUTPUT = "BENCH_solver.json"
+from repro.perf.harness import (
+    Bench,
+    Clause,
+    Outcome,
+    higher,
+    lower,
+    neutral,
+    paired,
+    timed,
+)
 
 #: Reference workload sizes.
 FULL_PAGES = 30_000
 SMOKE_PAGES = 4_000
-DEFAULT_K = 8
+
+#: Stacked walks (the paper-style per-keyword batch).
+K = 8
 
 #: Iterations used for the allocation measurement (fixed, so both
 #: loops do identical arithmetic work).
@@ -61,6 +66,20 @@ ALLOC_ITERATIONS = 30
 
 #: Timed repetitions per leg; the best run is reported.
 TIMING_REPS = 3
+
+#: The always-on telemetry budget (DESIGN.md §9), and the absolute
+#: difference below which a smoke-sized leg cannot resolve it.
+OBS_BUDGET_PCT = 2.0
+OBS_NOISE_FLOOR_SECONDS = 0.005
+
+#: The solver's recording hooks, stubbed out for the bare arm.
+_TELEMETRY_HOOKS = (
+    "record_solve",
+    "record_batched_solve",
+    "record_divergence",
+    "record_safe_restart",
+    "record_workspace_allocation",
+)
 
 
 def _objectrank_style_teleports(
@@ -117,58 +136,37 @@ def _measure_peak_bytes(fn) -> int:
     return max(0, peak - before)
 
 
-def run_kernel_benchmark(
-    smoke: bool = False,
-    pages: int | None = None,
-    k: int = DEFAULT_K,
-    seed: int = 2009,
-    output_path: str | None = DEFAULT_OUTPUT,
-) -> dict[str, Any]:
-    """Run the solver-kernel benchmark and (optionally) write the record.
+@contextmanager
+def _bare_telemetry():
+    """Stub the solver's telemetry hooks to no-ops for the duration."""
+    saved = {name: getattr(telemetry, name) for name in _TELEMETRY_HOOKS}
+    try:
+        for name in _TELEMETRY_HOOKS:
+            setattr(telemetry, name, lambda *args, **kwargs: None)
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(telemetry, name, fn)
 
-    Parameters
-    ----------
-    smoke:
-        Small graph + hard gate: the record's ``gate_passed`` is the
-        CI criterion (batched strictly faster than sequential).
-    pages:
-        Override the workload size.
-    k:
-        Number of stacked walks (the paper-style per-keyword batch).
-    seed:
-        RNG seed for the graph and the base sets.
-    output_path:
-        Where to write the JSON record; ``None`` skips writing.
 
-    Returns
-    -------
-    The record that was (or would have been) written.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    num_pages = pages if pages is not None else (
-        SMOKE_PAGES if smoke else FULL_PAGES
-    )
-    rng = np.random.default_rng(seed)
-    dataset = make_au_like(num_pages=num_pages, seed=seed)
-    graph = dataset.graph
+def _build(smoke: bool, seed: int):
+    pages = SMOKE_PAGES if smoke else FULL_PAGES
+    graph = make_au_like(num_pages=pages, seed=seed).graph
+    return graph, np.random.default_rng(seed)
+
+
+def _measure(workload) -> Outcome:
+    graph, rng = workload
     settings = PowerIterationSettings()
 
     # A private cache so the benchmark controls cold/warm transitions.
     cache = TransitionCache()
-    cold_start = time.perf_counter()
-    transition_t, dangling_mask = cache.transition_transpose(graph)
-    cold_build = time.perf_counter() - cold_start
-    warm_start = time.perf_counter()
-    cache.transition_transpose(graph)
-    warm_lookup = time.perf_counter() - warm_start
+    cold_build, (transition_t, dangling_mask) = timed(
+        lambda: cache.transition_transpose(graph)
+    )
+    warm_lookup, __ = timed(lambda: cache.transition_transpose(graph))
 
-    teleports = _objectrank_style_teleports(graph.num_nodes, k, rng)
-
-    # Both legs are timed after one untimed warm-up run (first-call
-    # costs — lazy imports, ufunc setup, page faults on fresh buffers
-    # — belong to neither side) and reported as the best of
-    # ``TIMING_REPS`` repetitions to damp scheduler noise.
+    teleports = _objectrank_style_teleports(graph.num_nodes, K, rng)
     workspace = PowerIterationWorkspace(graph.num_nodes)
 
     def run_single():
@@ -180,7 +178,7 @@ def run_kernel_benchmark(
                 settings=settings,
                 workspace=workspace,
             )
-            for column in range(k)
+            for column in range(K)
         ]
 
     def run_batched():
@@ -191,31 +189,32 @@ def run_kernel_benchmark(
             settings=settings,
         )
 
+    def run_bare():
+        with _bare_telemetry():
+            return run_single()
+
+    # Single and batched: one untimed warm-up each, then the best of
+    # TIMING_REPS interleaved repetitions (single, then batched).
     run_single()
     run_batched()
     single_seconds = batched_seconds = float("inf")
-    for _ in range(TIMING_REPS):
-        single_start = time.perf_counter()
-        single_outcomes = run_single()
-        single_seconds = min(
-            single_seconds, time.perf_counter() - single_start
-        )
-        batched_start = time.perf_counter()
-        batched = run_batched()
-        batched_seconds = min(
-            batched_seconds, time.perf_counter() - batched_start
-        )
+    for __ in range(TIMING_REPS):
+        seconds, single_outcomes = timed(run_single)
+        single_seconds = min(single_seconds, seconds)
+        seconds, batched = timed(run_batched)
+        batched_seconds = min(batched_seconds, seconds)
     single_iterations = sum(o.iterations for o in single_outcomes)
-
     max_l1_gap = float(
         max(
             np.abs(
                 batched.scores[:, column] - single_outcomes[column].scores
             ).sum()
-            for column in range(k)
+            for column in range(K)
         )
     )
-    speedup = single_seconds / batched_seconds if batched_seconds else float("inf")
+    speedup = (
+        single_seconds / batched_seconds if batched_seconds else float("inf")
+    )
 
     # --- local-block cache: cold vs warm -----------------------------
     local_nodes = np.sort(
@@ -225,12 +224,22 @@ def run_kernel_benchmark(
             replace=False,
         )
     ).astype(np.int64)
-    block_cold_start = time.perf_counter()
-    cache.local_block(graph, local_nodes)
-    block_cold = time.perf_counter() - block_cold_start
-    block_warm_start = time.perf_counter()
-    cache.local_block(graph, local_nodes)
-    block_warm = time.perf_counter() - block_warm_start
+    block_cold, __ = timed(lambda: cache.local_block(graph, local_nodes))
+    block_warm, __ = timed(lambda: cache.local_block(graph, local_nodes))
+
+    # --- observability overhead: instrumented vs bare ----------------
+    # The same sequential leg with the hooks live and stubbed, as
+    # paired arms, so drift over the run cannot read as overhead in
+    # either direction.
+    run_bare()  # warm-up with the hooks stubbed
+    (instrumented_seconds, __), (bare_seconds, __) = paired(
+        run_single, run_bare, reps=TIMING_REPS
+    )
+    obs_overhead_pct = (
+        (instrumented_seconds - bare_seconds) / bare_seconds * 100.0
+        if bare_seconds > 0
+        else 0.0
+    )
 
     # --- per-iteration allocations: seed-style step vs kernels -------
     dangling_indices = np.flatnonzero(dangling_mask)
@@ -256,51 +265,6 @@ def run_kernel_benchmark(
             workspace=alloc_workspace,
         )
 
-    # --- observability overhead: instrumented vs bare ----------------
-    # The solver layer reports every solve through
-    # :mod:`repro.obs.telemetry` (a few locked dict updates per solve)
-    # and crosses null-span sites; the contract (DESIGN.md §9) is that
-    # this always-on path stays within 2% of solve time.  Measure it
-    # by re-timing the sequential leg with the recording hooks stubbed
-    # to no-ops, best-of-reps on both sides to damp scheduler noise.
-    def _noop(*args, **kwargs):
-        return None
-
-    hook_names = (
-        "record_solve",
-        "record_batched_solve",
-        "record_divergence",
-        "record_safe_restart",
-        "record_workspace_allocation",
-    )
-    saved_hooks = {name: getattr(telemetry, name) for name in hook_names}
-    instrumented_seconds = single_seconds
-    bare_seconds = float("inf")
-    try:
-        for name in hook_names:
-            setattr(telemetry, name, _noop)
-        run_single()  # warm-up with the hooks stubbed
-        for _ in range(TIMING_REPS):
-            bare_start = time.perf_counter()
-            run_single()
-            bare_seconds = min(
-                bare_seconds, time.perf_counter() - bare_start
-            )
-    finally:
-        for name, fn in saved_hooks.items():
-            setattr(telemetry, name, fn)
-    obs_overhead_pct = (
-        (instrumented_seconds - bare_seconds) / bare_seconds * 100.0
-        if bare_seconds > 0
-        else 0.0
-    )
-    # 2% relative, with a 5ms absolute noise floor for tiny smoke
-    # workloads where a single scheduler blip exceeds 2%.
-    obs_gate_passed = bool(
-        instrumented_seconds <= bare_seconds * 1.02
-        or instrumented_seconds - bare_seconds <= 0.005
-    )
-
     kernel_loop()  # warm-up
     legacy_peak = _measure_peak_bytes(
         lambda: _legacy_power_loop(
@@ -313,113 +277,79 @@ def run_kernel_benchmark(
     )
     kernel_peak = _measure_peak_bytes(kernel_loop)
 
-    gate_passed = (
-        bool(speedup > 1.0)
-        and bool(kernel_peak < legacy_peak)
-        and obs_gate_passed
-    )
-    record: dict[str, Any] = {
-        "benchmark": "solver_kernels",
-        "created_unix": time.time(),
-        "smoke": bool(smoke),
-        "sparsetools_kernels": bool(SPARSETOOLS_AVAILABLE),
-        "workload": {
+    stats = cache.stats()
+    column_iterations = int(batched.iterations.sum())
+    return Outcome(
+        workload={
             "pages": int(graph.num_nodes),
             "edges": int(graph.num_edges),
-            "k": int(k),
-            "seed": int(seed),
+            "k": K,
             "damping": settings.damping,
             "tolerance": settings.tolerance,
+            "alloc_iterations": ALLOC_ITERATIONS,
         },
-        "single": {
-            "seconds": single_seconds,
-            "total_iterations": int(single_iterations),
-            "iterations_per_second": (
-                single_iterations / single_seconds if single_seconds else 0.0
+        metrics={
+            "single.seconds": lower(single_seconds, "s"),
+            "single.total_iterations": neutral(single_iterations, "count"),
+            "single.iterations_per_second": higher(
+                single_iterations / single_seconds if single_seconds else 0.0,
+                "1/s",
             ),
-        },
-        "batched": {
-            "seconds": batched_seconds,
-            "matrix_sweeps": int(batched.sweeps),
-            "column_iterations": int(batched.iterations.sum()),
-            "speedup_vs_single": speedup,
-            "max_l1_gap_vs_single": max_l1_gap,
-            "column_iterations_per_second": (
-                float(batched.iterations.sum()) / batched_seconds
-                if batched_seconds else 0.0
+            "batched.seconds": lower(batched_seconds, "s"),
+            "batched.matrix_sweeps": lower(batched.sweeps, "count"),
+            "batched.column_iterations": neutral(column_iterations, "count"),
+            "batched.speedup_vs_single": higher(speedup, "x"),
+            "batched.max_l1_gap_vs_single": lower(max_l1_gap, "L1"),
+            "batched.column_iterations_per_second": higher(
+                column_iterations / batched_seconds if batched_seconds else 0.0,
+                "1/s",
             ),
-        },
-        "cache": {
-            "transpose_cold_seconds": cold_build,
-            "transpose_warm_seconds": warm_lookup,
-            "transpose_speedup": (
-                cold_build / warm_lookup if warm_lookup else float("inf")
+            "cache.transpose_cold_seconds": lower(cold_build, "s"),
+            "cache.transpose_warm_seconds": lower(warm_lookup, "s"),
+            "cache.transpose_speedup": higher(
+                cold_build / warm_lookup if warm_lookup else float("inf"), "x"
             ),
-            "local_block_cold_seconds": block_cold,
-            "local_block_warm_seconds": block_warm,
-            "hits": cache.stats().hits,
-            "misses": cache.stats().misses,
+            "cache.local_block_cold_seconds": lower(block_cold, "s"),
+            "cache.local_block_warm_seconds": lower(block_warm, "s"),
+            "cache.hits": neutral(stats.hits, "count"),
+            "cache.misses": neutral(stats.misses, "count"),
+            "allocations.legacy_peak_bytes": neutral(legacy_peak, "B"),
+            "allocations.kernel_peak_bytes": lower(kernel_peak, "B"),
+            "allocations.legacy_per_iteration_bytes": neutral(
+                legacy_peak / ALLOC_ITERATIONS, "B"
+            ),
+            "allocations.kernel_per_iteration_bytes": lower(
+                kernel_peak / ALLOC_ITERATIONS, "B"
+            ),
+            "observability.instrumented_seconds": lower(
+                instrumented_seconds, "s"
+            ),
+            "observability.bare_seconds": neutral(bare_seconds, "s"),
+            "observability.overhead_pct": lower(obs_overhead_pct, "%"),
         },
-        "allocations": {
-            "iterations_measured": ALLOC_ITERATIONS,
-            "legacy_peak_bytes": int(legacy_peak),
-            "kernel_peak_bytes": int(kernel_peak),
-            "legacy_per_iteration_bytes": legacy_peak / ALLOC_ITERATIONS,
-            "kernel_per_iteration_bytes": kernel_peak / ALLOC_ITERATIONS,
-        },
-        "observability": {
-            "instrumented_seconds": instrumented_seconds,
-            "bare_seconds": bare_seconds,
-            "overhead_pct": obs_overhead_pct,
-            "gate_passed": obs_gate_passed,
-        },
-        "gate_passed": gate_passed,
-    }
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=False)
-            handle.write("\n")
-    return record
-
-
-def format_summary(record: dict[str, Any]) -> str:
-    """Human-readable one-screen summary of a benchmark record."""
-    single = record["single"]
-    batched = record["batched"]
-    cache = record["cache"]
-    alloc = record["allocations"]
-    lines = [
-        f"solver kernel benchmark "
-        f"({record['workload']['pages']} pages, "
-        f"{record['workload']['edges']} edges, "
-        f"K={record['workload']['k']}"
-        f"{', smoke' if record['smoke'] else ''})",
-        f"  single  : {single['seconds']:.3f}s "
-        f"({single['total_iterations']} iterations)",
-        f"  batched : {batched['seconds']:.3f}s "
-        f"({batched['matrix_sweeps']} sweeps) — "
-        f"{batched['speedup_vs_single']:.2f}x vs sequential, "
-        f"max L1 gap {batched['max_l1_gap_vs_single']:.2e}",
-        f"  cache   : transpose {cache['transpose_cold_seconds']*1e3:.1f}ms cold "
-        f"→ {cache['transpose_warm_seconds']*1e6:.0f}µs warm; "
-        f"local block {cache['local_block_cold_seconds']*1e3:.1f}ms cold "
-        f"→ {cache['local_block_warm_seconds']*1e6:.0f}µs warm",
-        f"  allocs  : {alloc['legacy_per_iteration_bytes']/1024:.0f} KiB/iter legacy "
-        f"→ {alloc['kernel_per_iteration_bytes']/1024:.1f} KiB/iter kernels",
-    ]
-    observability = record.get("observability")
-    if observability:
-        delta_ms = (
-            observability["instrumented_seconds"]
-            - observability["bare_seconds"]
-        ) * 1e3
-        lines.append(
-            f"  obs     : {observability['overhead_pct']:+.2f}% "
-            f"({delta_ms:+.2f}ms) telemetry overhead on the sequential "
-            f"leg ({'PASS' if observability['gate_passed'] else 'FAIL'}: "
-            f"budget 2% with a 5ms noise floor)"
-        )
-    lines.append(
-        f"  gate    : {'PASS' if record['gate_passed'] else 'FAIL'}"
+        clauses=[
+            Clause("batched_faster_than_single", speedup, 1.0, "higher",
+                   strict=True),
+            Clause("kernel_allocates_less_than_legacy", kernel_peak,
+                   legacy_peak, "lower", strict=True),
+            Clause(
+                "obs_overhead_pct", obs_overhead_pct, OBS_BUDGET_PCT,
+                "lower",
+                waiver="instrumented - bare <= 5 ms (noise floor)",
+                waive=(
+                    instrumented_seconds - bare_seconds
+                    <= OBS_NOISE_FLOOR_SECONDS
+                ),
+            ),
+        ],
+        facts={"sparsetools_kernels": bool(SPARSETOOLS_AVAILABLE)},
     )
-    return "\n".join(lines)
+
+
+BENCH = Bench(
+    name="kernels",
+    record="BENCH_solver.json",
+    title="solver kernel benchmark",
+    build=_build,
+    measure=_measure,
+)

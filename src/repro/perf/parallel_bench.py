@@ -1,47 +1,46 @@
 """Multi-subgraph scaling benchmark: serial vs process-parallel.
 
-The measurement harness behind ``benchmarks/bench_parallel.py`` and
-the ``python -m repro bench-parallel`` CLI subcommand.  The workload
-is the paper's Table IV shape — the 12 named DS domains of the AU-like
-dataset, each ranked by ApproxRank against one shared global graph —
-which §IV-B argues is embarrassingly parallel: one global pass, then
-per-subgraph cost that is purely local.
+The spec behind ``python -m repro bench parallel`` (record:
+``BENCH_parallel.json``).  The workload is the paper's Table IV shape —
+the 12 named DS domains of the AU-like dataset, each ranked by
+ApproxRank against one shared global graph — which §IV-B argues is
+embarrassingly parallel: one global pass, then per-subgraph cost that
+is purely local.
 
 The benchmark times :func:`repro.parallel.rank_many` over that
-workload at 1 (serial fallback), 2 and 4 workers, verifies that every
-parallel configuration reproduces the serial scores **exactly**
-(``atol=0`` — same fixed point, bit for bit), and writes the record to
-``BENCH_parallel.json`` so the scaling trajectory is tracked across
-PRs.
+workload at 1 (serial fallback), 2 and 4 workers and verifies that
+every parallel configuration reproduces the serial scores **exactly**
+(same fixed point, bit for bit).
 
-Gate semantics (smoke mode / CI):
+Gate semantics:
 
-* exact serial/parallel score agreement is always required;
-* the ≥ ``TARGET_SPEEDUP`` wall-clock requirement applies only when
-  the machine actually has multiple CPU cores — on a single-core
-  container process parallelism cannot beat serial, so the speedup
-  clause is recorded (``speedup_gate_waived``) rather than failed;
+* exact serial/parallel score agreement is never waived;
+* the best parallel configuration must beat serial (speedup > 1) —
+  waived only when the machine has a single CPU core, where process
+  parallelism cannot beat serial;
 * worker counts above ``os.cpu_count()`` are never timed (pure
-  oversubscription noise); they are recorded in the JSON as
+  oversubscription noise); they are recorded in the workload as
   ``skipped_worker_counts`` instead.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from typing import Any
 
 import numpy as np
 
 from repro.generators.datasets import AU_NAMED_DOMAINS, make_au_like
 from repro.pagerank.solver import PowerIterationSettings
 from repro.parallel import rank_many, shared_memory_available
+from repro.perf.harness import (
+    Bench,
+    Clause,
+    Outcome,
+    best_of,
+    higher,
+    lower,
+)
 from repro.subgraphs.domain import domain_subgraph
-
-#: Default record location (repo root when run from the checkout).
-DEFAULT_OUTPUT = "BENCH_parallel.json"
 
 #: Reference workload sizes (pages in the AU-like dataset).
 FULL_PAGES = 50_000
@@ -50,49 +49,21 @@ SMOKE_PAGES = 8_000
 #: Worker counts swept (1 == the serial fallback path).
 WORKER_SWEEP = (1, 2, 4)
 
-#: The acceptance target: 4 workers at least this much faster than
-#: serial — on hardware that has the cores to offer.
+#: The acceptance target: the best parallel configuration at least
+#: this much faster than serial — recorded, not gated.
 TARGET_SPEEDUP = 2.0
 
 #: Timed repetitions per configuration; the best run is reported.
 TIMING_REPS = 2
 
 
-def run_parallel_benchmark(
-    smoke: bool = False,
-    pages: int | None = None,
-    seed: int = 2009,
-    workers: tuple[int, ...] = WORKER_SWEEP,
-    output_path: str | None = DEFAULT_OUTPUT,
-) -> dict[str, Any]:
-    """Run the scaling benchmark and (optionally) write the record.
-
-    Parameters
-    ----------
-    smoke:
-        Small dataset + hard gate: ``gate_passed`` is the CI
-        criterion (exact agreement everywhere; speedup when the
-        hardware has cores).
-    pages:
-        Override the AU-like dataset size.
-    seed:
-        Dataset generation seed.
-    workers:
-        Worker counts to sweep; 1 must be included (it is the serial
-        baseline the others are compared against).
-    output_path:
-        Where to write the JSON record; ``None`` skips writing.
-
-    Returns
-    -------
-    The record that was (or would have been) written.
-    """
-    if 1 not in workers:
-        raise ValueError(f"worker sweep must include 1, got {workers}")
-    num_pages = pages if pages is not None else (
-        SMOKE_PAGES if smoke else FULL_PAGES
+def _build(smoke: bool, seed: int):
+    return make_au_like(
+        num_pages=SMOKE_PAGES if smoke else FULL_PAGES, seed=seed
     )
-    dataset = make_au_like(num_pages=num_pages, seed=seed)
+
+
+def _measure(dataset) -> Outcome:
     graph = dataset.graph
     settings = PowerIterationSettings()
     subgraphs = [
@@ -101,45 +72,36 @@ def run_parallel_benchmark(
     ]
     cpu_count = os.cpu_count() or 1
     # Timing worker counts beyond the machine's cores measures nothing
-    # but oversubscription noise (and on a 1-core container it burns
-    # minutes in pool spawn overhead for configurations that cannot
-    # win).  Cap the sweep at the core count and record what was
-    # skipped so the JSON stays honest about its coverage.
-    skipped_worker_counts = sorted(
-        {int(w) for w in workers if w > cpu_count}
+    # but oversubscription noise; cap the sweep at the core count and
+    # record what was skipped.
+    workers = [w for w in WORKER_SWEEP if w <= cpu_count]
+    skipped = [w for w in WORKER_SWEEP if w > cpu_count]
+
+    def run(worker_count: int):
+        return rank_many(
+            graph,
+            subgraphs,
+            algorithm="approxrank",
+            settings=settings,
+            workers=worker_count,
+        )
+
+    # The serial warm-up fills shared state the serial path would enjoy
+    # anyway (transition cache), so workers=1 is its steady state.
+    serial_seconds, serial_scores = best_of(
+        lambda: run(1), reps=TIMING_REPS, warmup=TIMING_REPS
     )
-    workers = tuple(w for w in workers if w <= cpu_count)
-    if 1 not in workers:  # pragma: no cover - cpu_count >= 1 always
-        workers = (1, *workers)
-
-    def timed_run(worker_count: int):
-        best = float("inf")
-        scores = None
-        for __ in range(TIMING_REPS):
-            start = time.perf_counter()
-            scores = rank_many(
-                graph,
-                subgraphs,
-                algorithm="approxrank",
-                settings=settings,
-                workers=worker_count,
-            )
-            best = min(best, time.perf_counter() - start)
-        return best, scores
-
-    # Warm shared state the serial path would enjoy anyway (transition
-    # cache) so worker-count 1 measures the steady-state serial cost.
-    timed_run(1)
-    serial_seconds, serial_scores = timed_run(1)
-
-    sweep: list[dict[str, Any]] = []
+    metrics = {"serial_seconds": lower(serial_seconds, "s")}
+    facts = {}
     all_exact = True
     best_speedup = 0.0
     for worker_count in workers:
         if worker_count == 1:
             seconds, scores = serial_seconds, serial_scores
         else:
-            seconds, scores = timed_run(worker_count)
+            seconds, scores = best_of(
+                lambda: run(worker_count), reps=TIMING_REPS, warmup=0
+            )
         exact = all(
             np.array_equal(a.scores, b.scores)
             and np.array_equal(a.local_nodes, b.local_nodes)
@@ -149,83 +111,45 @@ def run_parallel_benchmark(
         speedup = serial_seconds / seconds if seconds else float("inf")
         if worker_count > 1:
             best_speedup = max(best_speedup, speedup)
-        sweep.append(
-            {
-                "workers": worker_count,
-                "seconds": seconds,
-                "speedup_vs_serial": speedup,
-                "exact_match_vs_serial": bool(exact),
-            }
-        )
+        cell = f"sweep[workers={worker_count}]"
+        metrics[f"{cell}.seconds"] = lower(seconds, "s")
+        metrics[f"{cell}.speedup_vs_serial"] = higher(speedup, "x")
+        facts[f"{cell}.exact_match_vs_serial"] = bool(exact)
+    metrics["best_parallel_speedup"] = higher(best_speedup, "x")
+    facts["meets_target"] = bool(best_speedup >= TARGET_SPEEDUP)
+    facts["shared_memory_available"] = bool(shared_memory_available())
 
-    speedup_gate_waived = cpu_count < 2
-    speedup_ok = speedup_gate_waived or best_speedup > 1.0
-    gate_passed = bool(all_exact and speedup_ok)
-    record: dict[str, Any] = {
-        "benchmark": "parallel_rank_many",
-        "created_unix": time.time(),
-        "smoke": bool(smoke),
-        "cpu_count": int(cpu_count),
-        "shared_memory_available": bool(shared_memory_available()),
-        "workload": {
+    return Outcome(
+        workload={
             "dataset": dataset.name,
             "pages": int(graph.num_nodes),
             "edges": int(graph.num_edges),
             "subgraphs": len(subgraphs),
             "algorithm": "approxrank",
-            "seed": int(seed),
             "damping": settings.damping,
             "tolerance": settings.tolerance,
+            "workers": workers,
+            "skipped_worker_counts": skipped,
+            "target_speedup": TARGET_SPEEDUP,
         },
-        "serial_seconds": serial_seconds,
-        "sweep": sweep,
-        "skipped_worker_counts": skipped_worker_counts,
-        "target_speedup": TARGET_SPEEDUP,
-        "best_parallel_speedup": best_speedup,
-        "meets_target": bool(best_speedup >= TARGET_SPEEDUP),
-        "speedup_gate_waived": bool(speedup_gate_waived),
-        "all_exact": bool(all_exact),
-        "gate_passed": gate_passed,
-    }
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=False)
-            handle.write("\n")
-    return record
+        metrics=metrics,
+        clauses=[
+            Clause("exact_agreement", all_exact, True, "higher"),
+            Clause(
+                "parallel_speedup", best_speedup, 1.0, "higher",
+                strict=True,
+                waiver="the machine has a single CPU core",
+                waive=cpu_count < 2,
+            ),
+        ],
+        facts=facts,
+    )
 
 
-def format_parallel_summary(record: dict[str, Any]) -> str:
-    """Human-readable one-screen summary of a benchmark record."""
-    workload = record["workload"]
-    lines = [
-        f"parallel rank_many benchmark "
-        f"({workload['pages']} pages, {workload['edges']} edges, "
-        f"{workload['subgraphs']} subgraphs, "
-        f"{record['cpu_count']} cpu(s)"
-        f"{', smoke' if record['smoke'] else ''})",
-    ]
-    for entry in record["sweep"]:
-        lines.append(
-            f"  workers={entry['workers']}: {entry['seconds']:.3f}s "
-            f"({entry['speedup_vs_serial']:.2f}x vs serial, "
-            f"exact={'yes' if entry['exact_match_vs_serial'] else 'NO'})"
-        )
-    skipped = record.get("skipped_worker_counts") or []
-    if skipped:
-        lines.append(
-            f"  skipped : workers {skipped} (> {record['cpu_count']} "
-            f"cpu(s))"
-        )
-    waived = record["speedup_gate_waived"]
-    lines.append(
-        f"  target  : >= {record['target_speedup']:.1f}x — "
-        + (
-            "waived (single-core machine)"
-            if waived
-            else ("met" if record["meets_target"] else "NOT met")
-        )
-    )
-    lines.append(
-        f"  gate    : {'PASS' if record['gate_passed'] else 'FAIL'}"
-    )
-    return "\n".join(lines)
+BENCH = Bench(
+    name="parallel",
+    record="BENCH_parallel.json",
+    title="parallel rank_many benchmark",
+    build=_build,
+    measure=_measure,
+)

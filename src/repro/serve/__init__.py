@@ -27,8 +27,9 @@ Layering, bottom up:
   transports, and the one codec for ranked answers;
 * :mod:`repro.serve.client` — :class:`RankingClient`, the blocking
   stdlib HTTP client;
-* :mod:`repro.serve.bench` — the closed-loop batching-on-vs-off
-  benchmark behind ``BENCH_serve.json``.
+* :mod:`repro.serve.bench` — the batching-on-vs-off spec behind
+  ``python -m repro bench serve`` (``BENCH_serve.json``), run by
+  :mod:`repro.perf.harness`.
 """
 
 from repro.serve.batching import BatchPolicy, RankBatcher

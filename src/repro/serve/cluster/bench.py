@@ -1,10 +1,10 @@
 """Sharded-cluster benchmark: closed-loop load through the router.
 
-The measurement harness behind ``benchmarks/bench_shard.py`` and the
-``python -m repro bench-shard`` CLI subcommand.  The workload sweeps
-the fleet shape — 1, 2, and 4 shards behind one
+The spec behind ``python -m repro bench shard`` (record:
+``BENCH_shard.json``).  The workload sweeps the fleet shape — 1, 2,
+and 4 shards behind one
 :class:`~repro.serve.cluster.router.ShardRouter` — while
-``concurrency`` load-generator threads fire closed-loop ``/rank``
+``CONCURRENCY`` load-generator threads fire closed-loop ``/rank``
 requests for **distinct subgraphs** (digest-diverse, so the
 consistent-hash ring actually spreads them) against the router's
 front door.
@@ -13,43 +13,38 @@ Recorded per shard count: wall-clock, throughput, p50/p99 request
 latency, and how the ring spread the request keyspace.  One
 correctness clause rides along and is **never** waived:
 
-* ``agreement_bit_identical`` — every answer served through the
-  router must be **bit-identical** to the offline
+* ``bit_identical`` — every answer served through the router must be
+  **bit-identical** to the offline
   :func:`repro.core.approxrank.approxrank` solve for its subgraph.
   Sharding partitions the request keyspace, never the graph, so a
   routed answer has no excuse to differ by even one ULP.
 
 The wall-clock speedup clause (max-shard sweep vs the single-shard
-baseline) is waived — and recorded as waived — only on a single-core
-container, where thread-placement replicas cannot overlap their
-solver work.
+baseline) is waived only on a single-core machine, where
+thread-placement replicas cannot overlap their solver work.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
-import time
-from typing import Any
 
 import numpy as np
 
 from repro.core.approxrank import approxrank
 from repro.generators.datasets import make_tiny_web
 from repro.pagerank.solver import PowerIterationSettings
+from repro.perf.harness import (
+    Bench,
+    Clause,
+    Outcome,
+    closed_loop,
+    higher,
+    neutral,
+    prefixed,
+)
 from repro.serve.client import RankingClient
 from repro.serve.cluster.router import start_cluster
 from repro.serve.store import subgraph_digest
-
-__all__ = [
-    "DEFAULT_OUTPUT",
-    "run_shard_benchmark",
-    "format_shard_summary",
-]
-
-#: Default record location (repo root when run from the checkout).
-DEFAULT_OUTPUT = "BENCH_shard.json"
 
 FULL_PAGES = 3_000
 SMOKE_PAGES = 500
@@ -59,7 +54,7 @@ FULL_SWEEP = (1, 2, 4)
 SMOKE_SWEEP = (1, 2)
 
 #: Concurrent load-generator threads hitting the router front door.
-DEFAULT_CONCURRENCY = 8
+CONCURRENCY = 8
 
 #: Solver tolerance for both the served and the offline reference
 #: solves (bit-identity needs the identical settings, not a loose
@@ -67,43 +62,28 @@ DEFAULT_CONCURRENCY = 8
 BENCH_TOLERANCE = 1e-9
 
 #: Max-shard wall-clock must beat the single-shard baseline by this
-#: factor (on hardware where the clause applies).
+#: factor.
 TARGET_SPEEDUP = 1.1
 
 
-def _workload(
-    num_pages: int, rounds: int, concurrency: int, seed: int
-) -> list[np.ndarray]:
-    """Distinct subgraphs per (round, worker) slot — digest-diverse.
-
-    Each slot gets its own node set so no request hits another's
-    score-store entry and the hash ring has a real keyspace to
-    spread.
-    """
+def _build(smoke: bool, seed: int):
+    pages = SMOKE_PAGES if smoke else FULL_PAGES
+    rounds = SMOKE_ROUNDS if smoke else FULL_ROUNDS
+    graph = make_tiny_web(num_pages=pages, seed=seed).graph
+    # Distinct node sets per (round, worker) slot, so no request hits
+    # another's score-store entry and the ring has a real keyspace.
     rng = np.random.default_rng(seed)
-    size = max(min(num_pages // 40, 64), 8)
-    subgraphs = []
-    for __ in range(rounds * concurrency):
-        nodes = rng.choice(num_pages, size=size, replace=False)
-        subgraphs.append(np.unique(nodes.astype(np.int64)))
-    return subgraphs
+    size = max(min(pages // 40, 64), 8)
+    subgraphs = [
+        np.unique(rng.choice(pages, size=size, replace=False).astype(np.int64))
+        for __ in range(rounds * CONCURRENCY)
+    ]
+    sweep = SMOKE_SWEEP if smoke else FULL_SWEEP
+    return graph, subgraphs, rounds, sweep, seed
 
 
-def _run_shape(
-    graph,
-    settings: PowerIterationSettings,
-    subgraphs: list[np.ndarray],
-    rounds: int,
-    concurrency: int,
-    num_shards: int,
-    seed: int,
-) -> dict[str, Any]:
-    """Closed-loop run against one fleet shape; returns timings."""
-    latencies: list[float] = [0.0] * (rounds * concurrency)
-    served: dict[int, np.ndarray] = {}
-    errors: list[BaseException] = []
-    barrier = threading.Barrier(concurrency)
-
+def _run_shape(graph, settings, subgraphs, rounds, num_shards, seed):
+    """One closed-loop run against one fleet shape."""
     handle = start_cluster(
         graph,
         num_shards=num_shards,
@@ -112,216 +92,75 @@ def _run_shape(
         manager_kwargs={"settings": settings, "seed": seed},
         seed=seed,
         attempt_timeout=120.0,
-        max_inflight=4 * concurrency,
+        max_inflight=4 * CONCURRENCY,
     )
     try:
-        host, port = handle.address
-        client = RankingClient(host, port, timeout=120.0)
-
-        def worker(worker_index: int) -> None:
-            try:
-                for round_index in range(rounds):
-                    slot = round_index * concurrency + worker_index
-                    nodes = subgraphs[slot].tolist()
-                    barrier.wait()
-                    started = time.perf_counter()
-                    payload = client.rank(nodes)
-                    latencies[slot] = time.perf_counter() - started
-                    served[slot] = np.asarray(
-                        payload["scores"], dtype=np.float64
-                    )
-            except BaseException as exc:  # surfaced after the join
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=worker, args=(i,), name=f"loadgen-{i}"
-            )
-            for i in range(concurrency)
-        ]
-        wall_start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - wall_start
+        client = RankingClient(*handle.address, timeout=120.0)
+        metrics, answers = closed_loop(
+            lambda slot: client.rank(subgraphs[slot].tolist()),
+            CONCURRENCY,
+            rounds,
+        )
         spread = handle.router.ring.spread(
             [subgraph_digest(nodes) for nodes in subgraphs]
         )
     finally:
         handle.stop()
-    if errors:
-        raise errors[0]
-
-    total = rounds * concurrency
-    lat = np.asarray(latencies)
-    return {
-        "shards": num_shards,
-        "requests": total,
-        "wall_seconds": wall,
-        "throughput_rps": total / wall if wall > 0 else float("inf"),
-        "p50_ms": float(np.percentile(lat, 50) * 1e3),
-        "p99_ms": float(np.percentile(lat, 99) * 1e3),
-        "shard_spread": {
-            str(shard): int(count)
-            for shard, count in enumerate(spread)
-        },
-        "_served": served,
-    }
+    for shard, count in enumerate(spread):
+        metrics[f"shard_spread.{shard}"] = neutral(int(count), "count")
+    served = [np.asarray(a["scores"], dtype=np.float64) for a in answers]
+    return metrics, served
 
 
-def run_shard_benchmark(
-    smoke: bool = False,
-    pages: int | None = None,
-    seed: int = 2009,
-    concurrency: int = DEFAULT_CONCURRENCY,
-    rounds: int | None = None,
-    sweep: tuple[int, ...] | None = None,
-    output_path: str | None = DEFAULT_OUTPUT,
-) -> dict[str, Any]:
-    """Run the shard-sweep benchmark and (optionally) write the record.
-
-    Parameters
-    ----------
-    smoke:
-        Small workload + hard gate (``gate_passed`` is the CI
-        criterion).
-    pages / rounds / concurrency / sweep:
-        Workload and fleet-shape overrides.
-    seed:
-        Dataset and workload generation seed.
-    output_path:
-        Where to write the JSON record; ``None`` skips writing.
-
-    Returns
-    -------
-    The record that was (or would have been) written.
-    """
-    num_pages = pages if pages is not None else (
-        SMOKE_PAGES if smoke else FULL_PAGES
-    )
-    num_rounds = rounds if rounds is not None else (
-        SMOKE_ROUNDS if smoke else FULL_ROUNDS
-    )
-    shard_sweep = tuple(
-        sweep if sweep is not None else (
-            SMOKE_SWEEP if smoke else FULL_SWEEP
-        )
-    )
-    dataset = make_tiny_web(num_pages=num_pages, seed=seed)
-    graph = dataset.graph
+def _measure(workload) -> Outcome:
+    graph, subgraphs, rounds, sweep, seed = workload
     settings = PowerIterationSettings(tolerance=BENCH_TOLERANCE)
-    subgraphs = _workload(num_pages, num_rounds, concurrency, seed)
-
-    shapes = [
-        _run_shape(
-            graph, settings, subgraphs, num_rounds, concurrency,
-            num_shards=num_shards, seed=seed,
+    metrics = {}
+    walls = []
+    served_by_shape = []
+    for num_shards in sweep:
+        shape, served = _run_shape(
+            graph, settings, subgraphs, rounds, num_shards, seed
         )
-        for num_shards in shard_sweep
-    ]
-
-    # Agreement clause (never waived): every routed answer must be
-    # bit-identical to the offline solve for its subgraph — sharding
-    # never touches the graph, so there is no tolerance to spend.
-    offline: dict[int, np.ndarray] = {}
-    bit_identical = True
-    for slot, nodes in enumerate(subgraphs):
-        offline[slot] = approxrank(graph, nodes, settings).scores
-    for shape in shapes:
-        served = shape.pop("_served")
-        for slot, scores in served.items():
-            if not np.array_equal(scores, offline[slot]):
-                bit_identical = False
-
-    cpu_count = os.cpu_count() or 1
-    base_wall = shapes[0]["wall_seconds"]
-    peak_wall = shapes[-1]["wall_seconds"]
-    speedup = (
-        base_wall / peak_wall if peak_wall > 0 else float("inf")
+        metrics.update(prefixed(f"shapes[shards={num_shards}]", shape))
+        walls.append(shape["wall_seconds"].value)
+        served_by_shape.append(served)
+    # Offline references are solved after the sweep, so no shape runs
+    # against caches they warmed.
+    offline = [approxrank(graph, nodes, settings).scores for nodes in subgraphs]
+    bit_identical = all(
+        np.array_equal(scores, reference)
+        for served in served_by_shape
+        for scores, reference in zip(served, offline)
     )
-    speedup_ok = speedup >= TARGET_SPEEDUP
-    speedup_gate_waived = cpu_count < 2 and not speedup_ok
-    gate_passed = bool(
-        bit_identical and (speedup_ok or speedup_gate_waived)
+    speedup = walls[0] / walls[-1] if walls[-1] > 0 else float("inf")
+    metrics["speedup"] = higher(speedup, "x")
+    return Outcome(
+        workload={
+            "pages": int(graph.num_nodes),
+            "subgraph_size": int(subgraphs[0].size),
+            "concurrency": CONCURRENCY,
+            "rounds": rounds,
+            "total_requests": len(subgraphs),
+            "solver_tolerance": BENCH_TOLERANCE,
+            "shard_sweep": list(sweep),
+        },
+        metrics=metrics,
+        clauses=[
+            Clause("bit_identical", bit_identical, True, "higher"),
+            Clause(
+                "shard_speedup", speedup, TARGET_SPEEDUP, "higher",
+                waiver="the machine has a single CPU core",
+                waive=(os.cpu_count() or 1) < 2,
+            ),
+        ],
     )
 
-    record: dict[str, Any] = {
-        "benchmark": "shard",
-        "smoke": smoke,
-        "created_unix": time.time(),
-        "pages": num_pages,
-        "subgraph_size": int(subgraphs[0].size),
-        "concurrency": concurrency,
-        "rounds": num_rounds,
-        "total_requests": num_rounds * concurrency,
-        "cpu_count": cpu_count,
-        "solver_tolerance": BENCH_TOLERANCE,
-        "shard_sweep": list(shard_sweep),
-        "shapes": shapes,
-        "speedup": speedup,
-        "target_speedup": TARGET_SPEEDUP,
-        "agreement_bit_identical": bit_identical,
-        "speedup_gate_waived": speedup_gate_waived,
-        "gate_passed": gate_passed,
-    }
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2)
-            handle.write("\n")
-    return record
 
-
-def format_shard_summary(record: dict[str, Any]) -> str:
-    """Human-readable summary of a benchmark record."""
-    lines = [
-        "shard benchmark ({} pages, subgraph {}, {}x{} requests, "
-        "{} cpu)".format(
-            record["pages"],
-            record["subgraph_size"],
-            record["rounds"],
-            record["concurrency"],
-            record["cpu_count"],
-        ),
-        "  {:<8} {:>10} {:>12} {:>10} {:>10}  {}".format(
-            "shards", "wall (s)", "rps", "p50 (ms)", "p99 (ms)",
-            "spread",
-        ),
-    ]
-    for shape in record["shapes"]:
-        spread = ",".join(
-            str(shape["shard_spread"].get(str(s), 0))
-            for s in range(shape["shards"])
-        )
-        lines.append(
-            "  {:<8} {:>10.3f} {:>12.1f} {:>10.1f} {:>10.1f}  "
-            "[{}]".format(
-                shape["shards"],
-                shape["wall_seconds"],
-                shape["throughput_rps"],
-                shape["p50_ms"],
-                shape["p99_ms"],
-                spread,
-            )
-        )
-    lines.append(
-        "  speedup {:.2f}x at {} shards (target {:.2f}x{})".format(
-            record["speedup"],
-            record["shard_sweep"][-1],
-            record["target_speedup"],
-            ", waived: single core"
-            if record["speedup_gate_waived"]
-            else "",
-        )
-    )
-    lines.append(
-        "  routed answers bit-identical to offline: {}".format(
-            record["agreement_bit_identical"]
-        )
-    )
-    lines.append(
-        "  gate: {}".format(
-            "PASSED" if record["gate_passed"] else "FAILED"
-        )
-    )
-    return "\n".join(lines)
+BENCH = Bench(
+    name="shard",
+    record="BENCH_shard.json",
+    title="shard benchmark (1/2/4-shard sweep through the router)",
+    build=_build,
+    measure=_measure,
+)
