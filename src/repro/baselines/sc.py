@@ -47,6 +47,7 @@ import numpy as np
 from repro.exceptions import SubgraphError
 from repro.graph.digraph import CSRGraph
 from repro.graph.subgraph import induced_subgraph, normalize_node_set
+from repro.graph.traversal import frontier_of
 from repro.pagerank.localrank import pagerank_on_graph
 from repro.pagerank.result import SubgraphScores
 from repro.pagerank.solver import PowerIterationSettings
@@ -149,7 +150,7 @@ def stochastic_complementation(
         ranked = pagerank_on_graph(sub.graph, settings)
         total_iterations += ranked.iterations
 
-        frontier = _frontier_of(transition, super_nodes, in_super)
+        frontier = frontier_of(graph, in_super)
         seen_candidates[frontier] = True
         expansion_candidates.append(int(np.count_nonzero(seen_candidates)))
         if frontier.size == 0:
@@ -196,15 +197,6 @@ def stochastic_complementation(
             "supergraph_size": int(super_nodes.size),
         },
     )
-
-
-def _frontier_of(
-    transition, super_nodes: np.ndarray, in_super: np.ndarray
-) -> np.ndarray:
-    """Pages one out-link hop outside the supergraph (sorted ids)."""
-    rows = transition[super_nodes]
-    targets = np.unique(rows.indices)
-    return targets[~in_super[targets]]
 
 
 def _first_order_influence(

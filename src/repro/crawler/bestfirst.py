@@ -42,6 +42,7 @@ import numpy as np
 from repro.core.approxrank import approxrank
 from repro.exceptions import SubgraphError
 from repro.graph.digraph import CSRGraph
+from repro.graph.traversal import frontier_of
 from repro.pagerank.localrank import local_pagerank
 from repro.pagerank.solver import PowerIterationSettings
 
@@ -171,7 +172,7 @@ class CrawlSimulator:
             )
         steps = 0
         while len(order) < budget:
-            frontier = self._frontier(crawled)
+            frontier = frontier_of(self._graph, crawled)
             if frontier.size == 0:
                 break
             for page in frontier:
@@ -197,12 +198,6 @@ class CrawlSimulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _frontier(self, crawled: np.ndarray) -> np.ndarray:
-        crawled_ids = np.flatnonzero(crawled)
-        rows = self._graph.adjacency[crawled_ids]
-        targets = np.unique(rows.indices)
-        return targets[~crawled[targets]]
 
     def _select(
         self,

@@ -7,16 +7,38 @@ walk irreducible regardless, but the *undamped* connectivity structure
 still matters — it drives mixing speed and the bow-tie shape of real
 crawls — so the substrate exposes it.
 
-The implementation is an iterative Tarjan (explicit stack; recursion
-would overflow on crawl-scale graphs) and is cross-checked against
-networkx in the tests.
+Components come from :func:`scipy.sparse.csgraph.connected_components`
+(strong for SCCs here, weak for
+:func:`repro.graph.traversal.weakly_connected_components`); one
+grouping step turns its labels into member arrays.  The tests
+cross-check both against networkx.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from repro.graph.digraph import CSRGraph
+
+
+def _components(graph: CSRGraph, connection: str) -> list[np.ndarray]:
+    """Sorted member arrays of every component, largest first.
+
+    Ties are broken by smallest member.  ``connection`` is ``"strong"``
+    or ``"weak"``.
+    """
+    if graph.num_nodes == 0:
+        return []
+    count, labels = csgraph.connected_components(
+        graph.adjacency, connection=connection
+    )
+    members = np.argsort(labels, kind="stable").astype(np.int64)
+    sizes = np.bincount(labels, minlength=count)
+    ends = np.cumsum(sizes)
+    groups = np.split(members, ends[:-1])
+    firsts = members[ends - sizes]
+    return [groups[i] for i in np.lexsort((firsts, -sizes))]
 
 
 def strongly_connected_components(graph: CSRGraph) -> list[np.ndarray]:
@@ -27,63 +49,7 @@ def strongly_connected_components(graph: CSRGraph) -> list[np.ndarray]:
     list of sorted node-id arrays; every node appears in exactly one
     component (singletons included).
     """
-    n = graph.num_nodes
-    indptr = graph.adjacency.indptr
-    indices = graph.adjacency.indices
-
-    index_of = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    stack: list[int] = []
-    components: list[list[int]] = []
-    next_index = 0
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        # Iterative Tarjan: work entries are (node, next-edge-cursor).
-        work = [(root, indptr[root])]
-        index_of[root] = lowlink[root] = next_index
-        next_index += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, cursor = work[-1]
-            if cursor < indptr[node + 1]:
-                work[-1] = (node, cursor + 1)
-                neighbor = int(indices[cursor])
-                if index_of[neighbor] == -1:
-                    index_of[neighbor] = lowlink[neighbor] = next_index
-                    next_index += 1
-                    stack.append(neighbor)
-                    on_stack[neighbor] = True
-                    work.append((neighbor, indptr[neighbor]))
-                elif on_stack[neighbor]:
-                    lowlink[node] = min(
-                        lowlink[node], index_of[neighbor]
-                    )
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(
-                        lowlink[parent], lowlink[node]
-                    )
-                if lowlink[node] == index_of[node]:
-                    members: list[int] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = False
-                        members.append(member)
-                        if member == node:
-                            break
-                    components.append(members)
-    arrays = [
-        np.asarray(sorted(members), dtype=np.int64)
-        for members in components
-    ]
-    arrays.sort(key=lambda a: (-a.size, int(a[0])))
-    return arrays
+    return _components(graph, "strong")
 
 
 def largest_scc_fraction(graph: CSRGraph) -> float:

@@ -4,17 +4,25 @@ All traversals operate on out-links and are deterministic: neighbors are
 visited in ascending node-id order (CSR indices are sorted), so a BFS
 from the same seed always yields the same subgraph — a property the
 experiment harness relies on for reproducibility.
+
+Every traversal runs on one frontier BFS (:func:`_bfs_levels`): each
+level is a single vectorised gather over the CSR rows of the current
+frontier, so a depth- or budget-limited traversal costs the region it
+touches, not the graph.  Weakly connected components come from
+:func:`scipy.sparse.csgraph.connected_components`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import CSRGraph
+from repro.graph.scc import _components
 
 
 def _as_seed_array(graph: CSRGraph, seeds: int | Iterable[int]) -> np.ndarray:
@@ -26,6 +34,44 @@ def _as_seed_array(graph: CSRGraph, seeds: int | Iterable[int]) -> np.ndarray:
     if seed_array.min() < 0 or seed_array.max() >= graph.num_nodes:
         raise GraphError("a seed node id is out of range")
     return seed_array
+
+
+def _gather(adjacency: sparse.csr_matrix, nodes: np.ndarray) -> np.ndarray:
+    """The CSR rows of ``nodes``, concatenated in order (duplicates kept)."""
+    starts = adjacency.indptr[nodes].astype(np.int64)
+    counts = adjacency.indptr[nodes + 1] - starts
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return adjacency.indices[offsets + np.arange(counts.sum())]
+
+
+def _bfs_levels(
+    adjacency: sparse.csr_matrix,
+    seeds: np.ndarray,
+    expandable: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Yield the levels of a BFS from ``seeds`` along ``adjacency``'s rows.
+
+    Level 0 is ``seeds`` (sorted unique ids).  Each later level lists
+    the newly reached nodes in the order a FIFO BFS discovers them, so
+    concatenating the levels gives the BFS visit order.  Pass the
+    graph's ``adjacency`` to follow out-links or ``adjacency_t`` to
+    follow in-links; with an ``expandable`` mask only the nodes it
+    marks have their rows followed (the others are reached but not
+    expanded).  The next level is built only when the caller asks for
+    it, so stopping early bounds the work.
+    """
+    visited = np.zeros(adjacency.shape[0], dtype=bool)
+    visited[seeds] = True
+    level = seeds
+    while level.size:
+        yield level
+        if expandable is not None:
+            level = level[expandable[level]]
+        targets = _gather(adjacency, level)
+        targets = targets[~visited[targets]]
+        __, first = np.unique(targets, return_index=True)
+        level = targets[np.sort(first)]
+        visited[level] = True
 
 
 def bfs_order(
@@ -56,21 +102,14 @@ def bfs_order(
     budget = graph.num_nodes if max_nodes is None else min(
         max_nodes, graph.num_nodes
     )
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    order: list[int] = []
-    queue: deque[int] = deque()
-    for seed in seed_array:
-        if not visited[seed]:
-            visited[seed] = True
-            queue.append(int(seed))
-    while queue and len(order) < budget:
-        node = queue.popleft()
-        order.append(node)
-        for neighbor in graph.out_neighbors(node):
-            if not visited[neighbor]:
-                visited[neighbor] = True
-                queue.append(int(neighbor))
-    return np.asarray(order, dtype=np.int64)
+    levels: list[np.ndarray] = []
+    reached = 0
+    for level in _bfs_levels(graph.adjacency, seed_array):
+        levels.append(level)
+        reached += level.size
+        if reached >= budget:
+            break
+    return np.concatenate(levels)[:budget].astype(np.int64)
 
 
 def bfs_tree_depths(
@@ -79,17 +118,9 @@ def bfs_tree_depths(
     """Depth of every node in a BFS from ``seeds`` (-1 when unreachable)."""
     seed_array = _as_seed_array(graph, seeds)
     depths = np.full(graph.num_nodes, -1, dtype=np.int64)
-    queue: deque[int] = deque()
-    for seed in seed_array:
-        depths[seed] = 0
-        queue.append(int(seed))
-    while queue:
-        node = queue.popleft()
-        next_depth = depths[node] + 1
-        for neighbor in graph.out_neighbors(node):
-            if depths[neighbor] == -1:
-                depths[neighbor] = next_depth
-                queue.append(int(neighbor))
+    levels = _bfs_levels(graph.adjacency, seed_array)
+    for depth, level in enumerate(levels):
+        depths[level] = depth
     return depths
 
 
@@ -108,15 +139,16 @@ def bfs_within_depth(
     """
     if max_depth < 0:
         raise GraphError(f"max_depth must be >= 0, got {max_depth}")
-    depths = bfs_tree_depths(graph, seeds)
-    selected = np.flatnonzero((depths >= 0) & (depths <= max_depth))
-    return selected.astype(np.int64)
+    seed_array = _as_seed_array(graph, seeds)
+    levels = islice(_bfs_levels(graph.adjacency, seed_array), max_depth + 1)
+    return np.sort(np.concatenate(list(levels))).astype(np.int64)
 
 
 def reachable_set(graph: CSRGraph, seeds: int | Iterable[int]) -> np.ndarray:
     """All nodes reachable from ``seeds`` by out-links (sorted ids)."""
-    depths = bfs_tree_depths(graph, seeds)
-    return np.flatnonzero(depths >= 0).astype(np.int64)
+    seed_array = _as_seed_array(graph, seeds)
+    levels = _bfs_levels(graph.adjacency, seed_array)
+    return np.sort(np.concatenate(list(levels))).astype(np.int64)
 
 
 def weakly_connected_components(graph: CSRGraph) -> list[np.ndarray]:
@@ -125,53 +157,25 @@ def weakly_connected_components(graph: CSRGraph) -> list[np.ndarray]:
     Edges are treated as undirected.  Used by generators to check that a
     synthetic crawl is one connected web fragment, and by tests.
     """
-    n = graph.num_nodes
-    component = np.full(n, -1, dtype=np.int64)
-    components: list[list[int]] = []
-    adj_t = graph.adjacency_t
-    for start in range(n):
-        if component[start] != -1:
-            continue
-        label = len(components)
-        members: list[int] = []
-        queue: deque[int] = deque([start])
-        component[start] = label
-        while queue:
-            node = queue.popleft()
-            members.append(node)
-            for neighbor in graph.out_neighbors(node):
-                if component[neighbor] == -1:
-                    component[neighbor] = label
-                    queue.append(int(neighbor))
-            start_t, stop_t = adj_t.indptr[node], adj_t.indptr[node + 1]
-            for neighbor in adj_t.indices[start_t:stop_t]:
-                if component[neighbor] == -1:
-                    component[neighbor] = label
-                    queue.append(int(neighbor))
-        components.append(members)
-    arrays = [np.asarray(sorted(c), dtype=np.int64) for c in components]
-    arrays.sort(key=len, reverse=True)
-    return arrays
+    return _components(graph, "weak")
 
 
 def out_neighbors_of_set(
     graph: CSRGraph, nodes: Sequence[int] | np.ndarray
 ) -> np.ndarray:
-    """Union of out-neighbors over a node set (sorted unique ids).
-
-    Vectorised over the CSR structure; this is the frontier-crawl
-    primitive the SC baseline calls on every expansion.
-    """
+    """Union of out-neighbors over a node set (sorted unique ids)."""
     node_array = np.asarray(nodes, dtype=np.int64)
-    if node_array.size == 0:
+    targets = _gather(graph.adjacency, node_array)
+    if targets.size == 0:
         return np.empty(0, dtype=np.int64)
-    adj = graph.adjacency
-    starts = adj.indptr[node_array]
-    stops = adj.indptr[node_array + 1]
-    total = int((stops - starts).sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    chunks = [
-        adj.indices[start:stop] for start, stop in zip(starts, stops)
-    ]
-    return np.unique(np.concatenate(chunks))
+    return np.unique(targets)
+
+
+def frontier_of(graph: CSRGraph, members: np.ndarray) -> np.ndarray:
+    """Pages one out-link hop outside a member set (sorted unique ids).
+
+    ``members`` is a boolean mask over every page.  This is the
+    expansion step of the best-first crawler and the SC baseline.
+    """
+    targets = np.unique(_gather(graph.adjacency, np.flatnonzero(members)))
+    return targets[~members[targets]]

@@ -546,7 +546,6 @@ class RankingService:
         self,
         delta: GraphDelta,
         hops: int = 2,
-        migrate_unaffected: bool = True,
         refresh: bool = False,
     ):
         """Apply a :class:`GraphDelta` and swap the served graph.
@@ -577,7 +576,6 @@ class RankingService:
                     new_graph,
                     delta=delta,
                     hops=hops,
-                    migrate_unaffected=migrate_unaffected,
                 ),
             )
             with self._lexicon_lock:

@@ -34,9 +34,7 @@ Freshness is governed three ways:
   computable through Ng et al.'s perturbation bound (see
   :func:`repro.updates.rerank.staleness_charge_bound`); the moment an
   entry's cumulative charge exceeds the store's ``staleness_budget``
-  it is evicted — an over-budget entry is *never* served.  Pass
-  ``migrate_unaffected=False`` for the strict drop-everything
-  semantics of earlier revisions.
+  it is evicted — an over-budget entry is *never* served.
 
 Entries persist to ``.npz`` files (one per entry) so a restarted
 server can warm-load yesterday's scores for the same graph without a
@@ -62,7 +60,7 @@ from repro.graph.digraph import CSRGraph
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.pagerank.backends import default_backend
 from repro.pagerank.result import SubgraphScores
-from repro.updates.affected import affected_region
+from repro.updates.affected import affected_region, update_seeds
 from repro.updates.delta import GraphDelta
 
 __all__ = [
@@ -232,8 +230,7 @@ class StoreUpdateReport:
     region:
         The affected region of the update (changed pages + halo).
     evicted:
-        Entries dropped: over the staleness budget, or everything of
-        the old graph when migration was disabled.
+        Entries dropped because they went over the staleness budget.
     migrated:
         Entries whose subgraph is disjoint from the region, rekeyed to
         the new graph's fingerprint (charged, but not queued for
@@ -242,8 +239,9 @@ class StoreUpdateReport:
         Region-intersecting entries migrated into the stale-but-
         bounded state (served flagged until refreshed).
     refreshed:
-        Entries recomputed against the new graph by the ``refresher``
-        callback and reinserted fresh.
+        Entries re-ranked against the new graph before the update
+        returned (0 from the store; the service sets it when it
+        refreshes eagerly).
     staleness_charge:
         The Theorem-2 charge this update added to every surviving
         entry (at the store's reference damping of each entry; the
@@ -537,13 +535,9 @@ class ScoreStore:
         new_graph: CSRGraph,
         delta: GraphDelta | None = None,
         hops: int = 2,
-        migrate_unaffected: bool = True,
-        refresher: (
-            Callable[[CSRGraph, np.ndarray, float], SubgraphScores] | None
-        ) = None,
         old_scores: np.ndarray | None = None,
     ) -> StoreUpdateReport:
-        """Absorb a graph update: charge, migrate stale, refresh.
+        """Absorb a graph update: charge entries and migrate them stale.
 
         Every surviving entry of ``old_graph`` is rekeyed to
         ``new_graph``'s fingerprint in the *stale-but-bounded* state:
@@ -557,9 +551,6 @@ class ScoreStore:
         over-budget entries are never served, which :meth:`lookup`
         double-checks at read time.
 
-        Pass ``migrate_unaffected=False`` for strict semantics
-        (everything keyed to the old graph is dropped cold).
-
         ``old_scores`` — the old graph's global score vector, when the
         caller has one — tightens the charge: the changed pages'
         actual score mass feeds Ng et al.'s perturbation bound.
@@ -567,24 +558,14 @@ class ScoreStore:
         ``1/N`` (documented, conservative only in expectation — pass
         real scores when serving under a tight budget).
 
-        ``refresher(new_graph, local_nodes, damping)`` — typically the
-        service's solve path, or a splice re-rank — is invoked for each
-        entry on the refresh work list to recompute it eagerly and
-        reinsert it fresh; without one, stale entries keep serving
-        flagged until a caller refreshes them.
+        Stale entries keep serving flagged until a caller refreshes
+        them (the service re-ranks the work list, see
+        :meth:`repro.serve.server.RankingService.apply_update`).
         """
         region = affected_region(old_graph, new_graph, hops, delta)
         old_n = old_graph.num_nodes
         new_n = new_graph.num_nodes
-        if delta is not None and not delta.is_empty:
-            seeds = np.union1d(
-                delta.touched_sources(),
-                np.arange(old_n, new_n, dtype=np.int64),
-            )
-        else:
-            from repro.updates.affected import changed_pages
-
-            seeds = changed_pages(old_graph, new_graph)
+        seeds = update_seeds(old_graph, new_graph, delta)
         if old_scores is not None:
             old_scores = np.asarray(old_scores, dtype=np.float64)
             stale_mass = np.full(new_n, 1.0 / new_n)
@@ -612,11 +593,6 @@ class ScoreStore:
                     continue
                 entry = self._entries.pop(key)
                 nodes = np.asarray(entry.scores.local_nodes)
-                if not migrate_unaffected:
-                    evicted += 1
-                    self._count_eviction("invalidated")
-                    work_list.append((nodes, entry.damping))
-                    continue
                 damping = entry.damping
                 delta_e = 2.0 * damping / (1.0 - damping) * changed_mass
                 charge = staleness_charge_bound(delta_e, damping)
@@ -656,23 +632,11 @@ class ScoreStore:
         from repro.perf.cache import GLOBAL_TRANSITION_CACHE
 
         GLOBAL_TRANSITION_CACHE.invalidate(old_graph)
-
-        refreshed = 0
-        if refresher is not None:
-            for nodes, damping in work_list:
-                scores = refresher(new_graph, nodes, damping)
-                self.put(
-                    new_graph,
-                    np.asarray(scores.local_nodes),
-                    damping,
-                    scores,
-                )
-                refreshed += 1
         return StoreUpdateReport(
             region=region,
             evicted=evicted,
             migrated=migrated,
-            refreshed=refreshed,
+            refreshed=0,
             stale=stale_count,
             staleness_charge=max_charge,
             stale_entries=tuple(work_list),

@@ -15,12 +15,13 @@ walk the local structure that actually feeds the frontier.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import islice
 
 import numpy as np
 
 from repro.exceptions import SubgraphError
 from repro.graph.digraph import CSRGraph
+from repro.graph.traversal import _bfs_levels
 
 
 def dangling_frontier_subgraph(
@@ -53,20 +54,9 @@ def dangling_frontier_subgraph(
     if dangling.size == 0:
         raise SubgraphError("the graph has no dangling pages")
 
-    included = np.zeros(graph.num_nodes, dtype=bool)
-    included[dangling] = True
-    queue: deque[tuple[int, int]] = deque(
-        (int(page), 0) for page in dangling
-    )
-    while queue:
-        page, depth = queue.popleft()
-        if depth >= halo_hops:
-            continue
-        for feeder in graph.in_neighbors(page):
-            if not included[feeder]:
-                included[feeder] = True
-                queue.append((int(feeder), depth + 1))
-    frontier = np.flatnonzero(included).astype(np.int64)
+    levels = _bfs_levels(graph.adjacency_t, dangling)
+    halo = np.concatenate(list(islice(levels, halo_hops + 1)))
+    frontier = np.sort(halo).astype(np.int64)
     if frontier.size >= graph.num_nodes:
         raise SubgraphError(
             "frontier plus halo covers the whole graph; rank it "

@@ -21,13 +21,14 @@ global graph) as the paper's TS subgraphs, with a realistic boundary.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import islice
 
 import numpy as np
 
 from repro.exceptions import SubgraphError
 from repro.generators.datasets import WebDataset
 from repro.graph.digraph import CSRGraph
+from repro.graph.traversal import _bfs_levels
 
 
 def focused_crawl(
@@ -66,20 +67,13 @@ def focused_crawl(
             "expandable mask must cover every page, got shape "
             f"{expandable.shape} for {graph.num_nodes} pages"
         )
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    queue: deque[tuple[int, int]] = deque()
-    for seed in np.unique(seed_pages):
-        visited[seed] = True
-        queue.append((int(seed), 0))
-    while queue:
-        page, depth = queue.popleft()
-        if depth >= max_depth or not expandable[page]:
-            continue
-        for neighbor in graph.out_neighbors(page):
-            if not visited[neighbor]:
-                visited[neighbor] = True
-                queue.append((int(neighbor), depth + 1))
-    return np.flatnonzero(visited).astype(np.int64)
+    if seed_pages.min() < 0 or seed_pages.max() >= graph.num_nodes:
+        raise SubgraphError(
+            f"seed page ids must lie in 0..{graph.num_nodes - 1}"
+        )
+    levels = _bfs_levels(graph.adjacency, np.unique(seed_pages), expandable)
+    crawled = np.concatenate(list(islice(levels, max_depth + 1)))
+    return np.sort(crawled).astype(np.int64)
 
 
 def topic_subgraph(

@@ -67,6 +67,24 @@ def changed_pages(
     return np.concatenate([changed, new_ids])
 
 
+def update_seeds(
+    old_graph: CSRGraph,
+    new_graph: CSRGraph,
+    delta: GraphDelta | None = None,
+) -> np.ndarray:
+    """Pages an update changed (sorted ids, new-graph id space).
+
+    With a non-empty ``delta`` these are its touched sources plus the
+    appended pages; otherwise the row diff of :func:`changed_pages`.
+    """
+    if delta is not None and not delta.is_empty:
+        new_ids = np.arange(
+            old_graph.num_nodes, new_graph.num_nodes, dtype=np.int64
+        )
+        return np.union1d(delta.touched_sources(), new_ids)
+    return changed_pages(old_graph, new_graph)
+
+
 def affected_region(
     old_graph: CSRGraph,
     new_graph: CSRGraph,
@@ -85,7 +103,8 @@ def affected_region(
         the perturbation by ε and spreads it by out-degree).
     delta:
         When the delta is available, its touched sources are used as a
-        cheap starting set and the row diff is skipped.
+        cheap starting set and the row diff is skipped (see
+        :func:`update_seeds`).
 
     Returns
     -------
@@ -95,14 +114,7 @@ def affected_region(
     """
     if hops < 0:
         raise GraphError(f"hops must be >= 0, got {hops}")
-    if delta is not None and not delta.is_empty:
-        seeds = delta.touched_sources()
-        new_ids = np.arange(
-            old_graph.num_nodes, new_graph.num_nodes, dtype=np.int64
-        )
-        seeds = np.union1d(seeds, new_ids)
-    else:
-        seeds = changed_pages(old_graph, new_graph)
+    seeds = update_seeds(old_graph, new_graph, delta)
     if seeds.size == 0:
         return seeds
     return bfs_within_depth(new_graph, seeds, hops)

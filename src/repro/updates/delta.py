@@ -93,8 +93,17 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
     """Produce the post-update graph.
 
     New pages get ids following the existing ones.  Edge weights are
-    web-style (unit); adding an existing edge is a no-op, removing a
-    missing edge raises :class:`~repro.exceptions.GraphError`.
+    web-style (unit); adding an existing edge sets its weight to 1.0,
+    removing a missing edge raises :class:`~repro.exceptions.GraphError`.
+    Removals apply before additions, so a delta may re-add an edge it
+    removes.
+
+    The delta is validated edge by edge in the order removals, then
+    additions (range checks first, so a negative id never reaches the
+    key arithmetic).  The new CSR arrays come from one merge of the old
+    graph's sorted ``row * size + column`` edge keys with the delta's
+    keys: a few vectorised passes over the edge arrays, never an
+    entry-by-entry rebuild.
 
     The pre-update graph's cached transition derivations are evicted
     from the process-wide :class:`~repro.perf.cache.TransitionCache`:
@@ -103,32 +112,61 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
     ranking service holds graphs across updates) accumulate stale
     operator memory for graphs it will never solve again.
     """
-    new_size = graph.num_nodes + delta.new_pages
-    matrix = sparse.lil_matrix((new_size, new_size))
-    old = graph.adjacency.tocoo()
-    matrix[old.row, old.col] = old.data
-
+    old_n = graph.num_nodes
+    size = old_n + delta.new_pages
+    removed: set[tuple[int, int]] = set()
     for source, target in delta.removed_edges:
-        _check_node(source, new_size)
-        _check_node(target, new_size)
-        if matrix[source, target] == 0:
+        _check_node(source, size)
+        _check_node(target, size)
+        if (source, target) in removed or not (
+            source < old_n
+            and target < old_n
+            and graph.has_edge(source, target)
+        ):
             raise GraphError(
                 f"cannot remove missing edge ({source}, {target})"
             )
-        matrix[source, target] = 0
+        removed.add((source, target))
     for source, target in delta.added_edges:
-        _check_node(source, new_size)
-        _check_node(target, new_size)
+        _check_node(source, size)
+        _check_node(target, size)
         if source == target:
             raise GraphError(
                 f"self-loop ({source}, {source}) not allowed in deltas"
             )
-        matrix[source, target] = 1.0
+
+    adj = graph.adjacency
+    rows = np.repeat(np.arange(old_n, dtype=np.int64), np.diff(adj.indptr))
+    keys = rows * size + adj.indices
+    gone = np.searchsorted(keys, _edge_keys(removed, size))
+    keys = np.delete(keys, gone)
+    data = np.delete(adj.data, gone)
+    added = np.unique(_edge_keys(delta.added_edges, size))
+    at = np.searchsorted(keys, added)
+    present = at < keys.size
+    present[present] = keys[at[present]] == added[present]
+    data[at[present]] = 1.0
+    keys = np.insert(keys, at[~present], added[~present])
+    data = np.insert(data, at[~present], 1.0)
+    rows = keys // size
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    matrix = sparse.csr_matrix(
+        (data, keys - rows * size, indptr), shape=(size, size)
+    )
 
     from repro.perf.cache import GLOBAL_TRANSITION_CACHE
 
     GLOBAL_TRANSITION_CACHE.invalidate(graph)
-    return CSRGraph(matrix.tocsr())
+    return CSRGraph(matrix)
+
+
+def _edge_keys(edges, size: int) -> np.ndarray:
+    """``source * size + target`` per edge (ids already range-checked)."""
+    return np.asarray(
+        [int(source) * size + int(target) for source, target in edges],
+        dtype=np.int64,
+    )
 
 
 def _check_node(node: int, size: int) -> None:

@@ -45,7 +45,7 @@ from repro.graph.digraph import CSRGraph
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.pagerank.backends import float32_l1_bound, resolve_backend
 from repro.pagerank.solver import PowerIterationSettings
-from repro.updates.affected import affected_region, changed_pages
+from repro.updates.affected import affected_region, update_seeds
 from repro.updates.delta import GraphDelta
 
 
@@ -233,15 +233,7 @@ def incremental_rerank(
     # Staleness accounting: the changed pages (delta sources ∪ new
     # pages, or the row diff) carried `stale`-mass the update may
     # have moved; Ng et al.'s bound turns that mass into ‖ΔE‖₁.
-    if delta is not None and not delta.is_empty:
-        seeds = np.union1d(
-            delta.touched_sources(),
-            np.arange(
-                old_graph.num_nodes, new_graph.num_nodes, dtype=np.int64
-            ),
-        )
-    else:
-        seeds = changed_pages(old_graph, new_graph)
+    seeds = update_seeds(old_graph, new_graph, delta)
     from repro.pagerank.stability import perturbation_bound
 
     delta_e_bound = perturbation_bound(stale, seeds, damping)

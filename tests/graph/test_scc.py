@@ -63,8 +63,7 @@ class TestKnownStructures:
         assert is_strongly_connected(graph)
 
     def test_deep_chain_no_recursion_limit(self):
-        # An iterative Tarjan must handle paths far beyond Python's
-        # recursion limit.
+        # Paths far beyond Python's recursion limit must not overflow.
         n = 50_000
         builder = GraphBuilder(n)
         builder.add_edge_arrays(

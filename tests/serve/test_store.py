@@ -342,48 +342,6 @@ class TestApplyUpdate:
         assert hit.stale is True
         assert hit.staleness == pytest.approx(report.staleness_charge)
 
-    def test_strict_mode_drops_everything(self, graph, scores):
-        store = ScoreStore(registry=MetricsRegistry())
-        delta = self._delta_touching(graph, 5)
-        new_graph = apply_delta(graph, delta)
-        from repro.updates.affected import affected_region
-
-        region = affected_region(graph, new_graph, 2, delta)
-        outside = np.setdiff1d(
-            np.arange(graph.num_nodes, dtype=np.int64), region
-        )[:10]
-        store.put(graph, outside, 0.85, approxrank(graph, outside, SETTINGS))
-        report = store.apply_update(
-            graph, new_graph, delta=delta, migrate_unaffected=False
-        )
-        assert report.evicted == 1
-        assert len(store) == 0
-
-    def test_refresher_recomputes_stale(self, graph):
-        store = ScoreStore(registry=MetricsRegistry())
-        inside = np.arange(30, dtype=np.int64)
-        store.put(
-            graph, inside, 0.85, approxrank(graph, inside, SETTINGS)
-        )
-        delta = self._delta_touching(graph, 5)
-        new_graph = apply_delta(graph, delta)
-
-        def refresher(g, local_nodes, damping):
-            from dataclasses import replace
-
-            return approxrank(
-                g, local_nodes, replace(SETTINGS, damping=damping)
-            )
-
-        report = store.apply_update(
-            graph, new_graph, delta=delta, refresher=refresher
-        )
-        assert report.refreshed == 1
-        refreshed = store.get(new_graph, inside, 0.85)
-        assert refreshed is not None
-        expected = approxrank(new_graph, inside, SETTINGS)
-        np.testing.assert_array_equal(refreshed.scores, expected.scores)
-
     def test_update_metrics_emitted(self, graph, scores):
         registry = MetricsRegistry()
         store = ScoreStore(registry=registry)

@@ -89,6 +89,14 @@ class TestFocusedCrawl:
                 chain_graph, np.array([0]), np.ones(3, dtype=bool)
             )
 
+    def test_rejects_out_of_range_seeds(self, chain_graph):
+        # A negative id must not wrap around to the last page.
+        for seed in (-1, 5):
+            with pytest.raises(SubgraphError, match="seed page ids"):
+                focused_crawl(
+                    chain_graph, np.array([seed]), np.ones(5, dtype=bool)
+                )
+
 
 class TestTopicSubgraph:
     def test_contains_all_topic_pages(self, politics):
