@@ -90,7 +90,6 @@ def rank_with_external_weights(
     settings: PowerIterationSettings | None = None,
     method: str = "extended-rank",
     personalization: np.ndarray | None = None,
-    initial: np.ndarray | None = None,
     backend=None,
 ) -> SubgraphScores:
     """Run the extended-graph random walk under an arbitrary E vector.
@@ -116,7 +115,7 @@ def rank_with_external_weights(
         graph, local_nodes, external_weights, mode="custom",
         personalization=personalization,
     )
-    solve = extended.solve(settings, initial=initial, backend=backend)
+    solve = extended.solve(settings, backend=backend)
     runtime = time.perf_counter() - start
     return solve_to_subgraph_scores(
         extended, method=method, total_runtime=runtime, solve=solve

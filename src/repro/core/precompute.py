@@ -128,7 +128,6 @@ class ApproxRankPreprocessor:
         self,
         local_nodes: Iterable[int],
         settings: PowerIterationSettings | None = None,
-        initial: np.ndarray | None = None,
         backend=None,
     ) -> SubgraphScores:
         """ApproxRank for one subgraph, reusing the global pass.
@@ -136,17 +135,12 @@ class ApproxRankPreprocessor:
         ``runtime_seconds`` on the result covers only the per-subgraph
         work, which is what the amortised-cost rows of Tables V/VI
         measure; the one-off global pass is available separately as
-        :attr:`preprocess_seconds`.
-
-        ``initial`` warm-starts the extended solve from a previous
-        score vector (length n+1: local scores then Λ) — the serving
-        layer's background refresher uses this to re-rank a stale
-        store entry in a handful of sweeps.  ``backend`` selects the
-        solver precision (``None`` = process default).
+        :attr:`preprocess_seconds`.  ``backend`` selects the solver
+        precision (``None`` = process default).
         """
         start = time.perf_counter()
         extended = self.extended_graph(local_nodes)
-        solve = extended.solve(settings, initial=initial, backend=backend)
+        solve = extended.solve(settings, backend=backend)
         runtime = time.perf_counter() - start
         return solve_to_subgraph_scores(
             extended,

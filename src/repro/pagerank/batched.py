@@ -124,7 +124,6 @@ def batched_power_iteration(
     dangling_mask: np.ndarray | None = None,
     dangling_dists: np.ndarray | None = None,
     settings: PowerIterationSettings | None = None,
-    initials: np.ndarray | None = None,
     dampings: np.ndarray | None = None,
     backend: "SolverBackend | str | None" = None,
 ) -> BatchedOutcome:
@@ -146,9 +145,6 @@ def batched_power_iteration(
         teleport, matching the single solver's default).
     settings:
         Solver knobs shared by every column.
-    initials:
-        Optional ``(n, K)`` starting block; defaults to ``teleports``.
-        Columns are normalised to sum to 1.
     dampings:
         Optional length-K per-column damping factors overriding
         ``settings.damping`` (used by damping sweeps); every value must
@@ -232,19 +228,7 @@ def batched_power_iteration(
         if np.any((damping_row <= 0.0) | (damping_row >= 1.0)):
             raise ValueError("every damping must be in (0, 1)")
 
-    if initials is None:
-        x = teleports.copy()
-    else:
-        x = np.ascontiguousarray(initials, dtype=np.float64).copy()
-        if x.shape != (size, k):
-            raise ValueError(
-                f"initials must have shape ({size}, {k}), got {x.shape}"
-            )
-        totals = x.sum(axis=0)
-        if np.any(totals <= 0):
-            raise ValueError("every initial column must have positive mass")
-        x /= totals
-        x = prepared.to_backend_block(x)
+    x = teleports.copy()
 
     x_next = np.empty_like(x)
     scratch = np.empty_like(x)

@@ -235,7 +235,6 @@ class RankingService:
         self._refresh_tasks: set[asyncio.Task] = set()
         self._updates_applied = 0
         self._staleness_spent = 0.0
-        self._iterations_saved = 0
         self._entries_refreshed = 0
 
     # ------------------------------------------------------------------
@@ -344,9 +343,7 @@ class RankingService:
                 "graph was updated while the request was queued; retry"
             )
         if len(dampings) == 1:
-            # The exact offline path: bit-identical to approxrank().
-            settings = replace(self._settings, damping=dampings[0])
-            return [state.preprocessor.rank(local_nodes, settings)]
+            return [self._solve_one(state, local_nodes, dampings[0])]
         # Same subgraph, several ε: one extended matrix, one batched
         # multi-column solve — the serving payoff of PR 1's kernel.
         start = time.perf_counter()
@@ -542,23 +539,16 @@ class RankingService:
         record_semantic_metrics(answer, self._registry)
         return answer, outcome
 
-    async def apply_update(
-        self,
-        delta: GraphDelta,
-        hops: int = 2,
-        refresh: bool = False,
-    ):
+    async def apply_update(self, delta: GraphDelta, hops: int = 2):
         """Apply a :class:`GraphDelta` and swap the served graph.
 
         Runs the rebuild + new global pass off the event loop, then
         atomically swaps the state and migrates affected store entries
         into the stale-but-bounded state (see
         :meth:`ScoreStore.apply_update`): they keep serving — flagged,
-        charged against the Theorem-2 budget — while an incremental
-        re-rank brings them back.  The refresh is scheduled off-loop
-        by default (a background task warm-starts each stale entry
-        from its previous score vector); ``refresh=True`` awaits it
-        before returning instead.
+        charged against the Theorem-2 budget — until a background task
+        re-ranks each one cold on the new graph and puts it back
+        fresh, bit-identical to offline ``approxrank()`` there.
         """
         async with self._update_lock:
             old_state = self._state
@@ -590,111 +580,62 @@ class RankingService:
             self._updates_applied += 1
             self._staleness_spent += report.staleness_charge
         if report.stale_entries:
-            if refresh:
-                await self._refresh_entries(
-                    new_state, report.stale_entries, mode="eager"
-                )
-                report = replace(
-                    report, refreshed=len(report.stale_entries)
-                )
-            else:
-                task = asyncio.create_task(
-                    self._refresh_entries(
-                        new_state,
-                        report.stale_entries,
-                        mode="background",
-                    )
-                )
-                self._refresh_tasks.add(task)
-                task.add_done_callback(self._refresh_tasks.discard)
+            task = asyncio.create_task(
+                self._refresh_entries(new_state, report.stale_entries)
+            )
+            self._refresh_tasks.add(task)
+            task.add_done_callback(self._refresh_tasks.discard)
         return report
 
     # ------------------------------------------------------------------
-    # Incremental refresh (stale-but-bounded entries)
+    # Solving and refreshing one subgraph
     # ------------------------------------------------------------------
+
+    def _solve_one(
+        self,
+        state: _GraphState,
+        local_nodes: np.ndarray,
+        damping: float,
+    ) -> SubgraphScores:
+        """The exact offline path: bit-identical to approxrank()."""
+        return state.preprocessor.rank(
+            local_nodes, replace(self._settings, damping=damping)
+        )
 
     def _refresh_entry_sync(
         self,
         state: _GraphState,
         nodes: np.ndarray,
         damping: float,
-    ) -> int:
-        """Re-rank one stale entry, warm-starting from its old vector.
-
-        Returns the iterations the warm start saved.  The refreshed
-        entry is re-inserted still flagged stale, carrying the solver
-        truncation bound ``(residual + tolerance)/(1−ε)`` — it is
-        within that of a cold solve but not bit-identical, and the
-        serving contract only unflags bit-identical results.  A cold
-        refresh (no warm vector available) inserts fresh.
-        """
-        hit = self.store.lookup(state.graph, nodes, damping)
-        initial = None
-        if hit is not None:
-            old = hit.scores
-            lam = old.extras.get("lambda_score")
-            if lam is None:
-                lam = max(1.0 - float(old.scores.sum()), 0.0)
-            candidate = np.concatenate(
-                [np.asarray(old.scores, dtype=np.float64), [float(lam)]]
-            )
-            if candidate.sum() > 0 and np.all(candidate >= 0):
-                initial = candidate
-        settings = replace(
-            self._settings,
-            damping=damping,
-            safe_restart=initial is not None,
-        )
-        fresh = state.preprocessor.rank(
-            nodes, settings, initial=initial
-        )
-        if initial is not None:
-            remaining = (fresh.residual + settings.tolerance) / (
-                1.0 - damping
-            )
-            self.store.put(
-                state.graph,
-                np.asarray(fresh.local_nodes),
-                damping,
-                fresh,
-                stale=True,
-                staleness=remaining,
-            )
-        else:
-            self.store.put(
-                state.graph,
-                np.asarray(fresh.local_nodes),
-                damping,
-                fresh,
-            )
-        return int(fresh.extras.get("iterations_saved", 0))
-
-    async def _refresh_entries(
-        self,
-        state: _GraphState,
-        entries,
-        mode: str,
     ) -> None:
+        """Re-rank one stale entry on ``state``'s graph, put back fresh.
+
+        The solve is a store miss's, so the entry is bit-identical to
+        offline ``approxrank()`` on that graph and serves unflagged.
+        """
+        fresh = self._solve_one(state, nodes, damping)
+        self.store.put(state.graph, nodes, damping, fresh)
+
+    async def _refresh_entries(self, state: _GraphState, entries) -> None:
         loop = asyncio.get_running_loop()
         for nodes, damping in entries:
             if state is not self._state:
                 # The graph moved on while this refresh waited; the
                 # next update's work list supersedes this one.
                 return
-            saved = await loop.run_in_executor(
+            await loop.run_in_executor(
                 None,
                 self._refresh_entry_sync,
                 state,
                 np.asarray(nodes, dtype=np.int64),
                 float(damping),
             )
-            self._iterations_saved += saved
             self._entries_refreshed += 1
             self._registry.counter(
                 "repro_update_background_refreshes_total",
                 "Stale store entries re-ranked after a graph update, "
                 "by scheduling mode.",
-                mode=mode,
+                mode="background",
             ).inc()
 
     async def close(self) -> None:
@@ -726,7 +667,6 @@ class RankingService:
                 "staleness_spent": self._staleness_spent,
                 "staleness_budget": self.store.staleness_budget,
                 "stale_entries": store_stats.get("stale_entries", 0),
-                "iterations_saved": self._iterations_saved,
                 "entries_refreshed": self._entries_refreshed,
                 "pending_refreshes": len(self._refresh_tasks),
             },

@@ -29,12 +29,13 @@ Freshness is governed three ways:
   region and migrates every surviving entry into a *stale-but-bounded*
   state instead of evicting it: the entry keeps serving immediately
   (flagged, with its cumulative staleness charge attached) while the
-  serving layer re-ranks it incrementally in the background.  The
-  charge per update is the Theorem-2 bound ``ε/(1−ε)·‖ΔE‖₁`` made
-  computable through Ng et al.'s perturbation bound (see
-  :func:`repro.updates.rerank.staleness_charge_bound`); the moment an
-  entry's cumulative charge exceeds the store's ``staleness_budget``
-  it is evicted — an over-budget entry is *never* served.
+  serving layer re-ranks it cold in the background and puts it back
+  fresh.  The charge per update is the Theorem-2 bound
+  ``ε/(1−ε)·‖ΔE‖₁`` made computable through Ng et al.'s perturbation
+  bound (see :func:`repro.updates.rerank.staleness_charge_bound`);
+  the moment an entry's cumulative charge exceeds the store's
+  ``staleness_budget`` it is evicted — an over-budget entry is
+  *never* served.
 
 Entries persist to ``.npz`` files (one per entry) so a restarted
 server can warm-load yesterday's scores for the same graph without a
@@ -60,7 +61,7 @@ from repro.graph.digraph import CSRGraph
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.pagerank.backends import default_backend
 from repro.pagerank.result import SubgraphScores
-from repro.updates.affected import affected_region, update_seeds
+from repro.updates.affected import forward_halo, update_seeds
 from repro.updates.delta import GraphDelta
 
 __all__ = [
@@ -238,10 +239,6 @@ class StoreUpdateReport:
     stale:
         Region-intersecting entries migrated into the stale-but-
         bounded state (served flagged until refreshed).
-    refreshed:
-        Entries re-ranked against the new graph before the update
-        returned (0 from the store; the service sets it when it
-        refreshes eagerly).
     staleness_charge:
         The Theorem-2 charge this update added to every surviving
         entry (at the store's reference damping of each entry; the
@@ -255,7 +252,6 @@ class StoreUpdateReport:
     region: np.ndarray
     evicted: int
     migrated: int
-    refreshed: int
     stale: int = 0
     staleness_charge: float = 0.0
     stale_entries: tuple = ()
@@ -462,12 +458,14 @@ class ScoreStore:
     ) -> None:
         """Insert (or refresh) an entry, evicting LRU beyond capacity.
 
-        ``stale`` / ``staleness`` let an incremental refresher record
-        the residual bound of a warm-started re-rank (anything not
-        bit-identical to a cold solve stays flagged with its bound);
-        a default put inserts a fresh, charge-free entry.  ``digest``
-        is as in :meth:`lookup`.  Raises :class:`ValueError` when the
-        entry fails a certificate check (see module docs).
+        A default put inserts a fresh, charge-free entry: the caller
+        vouches that ``scores`` are bit-identical to the offline
+        solve on ``graph``.  ``stale`` / ``staleness`` restore a
+        flagged entry with its cumulative charge: a persisted one
+        :meth:`warm_load` reads back, or a stale shard answer the
+        cluster router keeps for degraded reads.  ``digest`` is as in
+        :meth:`lookup`.  Raises :class:`ValueError` when the entry
+        fails a certificate check (see module docs).
         """
         _check_certificate(scores, staleness)
         fingerprint = graph_fingerprint(graph)
@@ -562,10 +560,10 @@ class ScoreStore:
         them (the service re-ranks the work list, see
         :meth:`repro.serve.server.RankingService.apply_update`).
         """
-        region = affected_region(old_graph, new_graph, hops, delta)
+        seeds = update_seeds(old_graph, new_graph, delta)
+        region = forward_halo(new_graph, seeds, hops)
         old_n = old_graph.num_nodes
         new_n = new_graph.num_nodes
-        seeds = update_seeds(old_graph, new_graph, delta)
         if old_scores is not None:
             old_scores = np.asarray(old_scores, dtype=np.float64)
             stale_mass = np.full(new_n, 1.0 / new_n)
@@ -636,7 +634,6 @@ class ScoreStore:
             region=region,
             evicted=evicted,
             migrated=migrated,
-            refreshed=0,
             stale=stale_count,
             staleness_charge=max_charge,
             stale_entries=tuple(work_list),

@@ -91,11 +91,6 @@ def scores_fields(scores: SubgraphScores) -> dict:
     extras = scores.extras
     if "lambda_score" in extras:
         fields["lambda_score"] = extras["lambda_score"]
-    if "warm_start" in extras:
-        fields["warm_start"] = bool(extras["warm_start"])
-        fields["iterations_saved"] = int(
-            extras.get("iterations_saved", 0)
-        )
     return fields
 
 
@@ -140,11 +135,6 @@ def scores_from_payload(payload: dict) -> SubgraphScores:
         extras["staleness"] = float(payload.get("staleness", 0.0))
     if payload.get("degraded"):
         extras["degraded"] = True
-    if "warm_start" in payload:
-        extras["warm_start"] = bool(payload["warm_start"])
-        extras["iterations_saved"] = int(
-            payload.get("iterations_saved", 0)
-        )
     if "estimator" in payload:
         extras["estimator"] = str(payload["estimator"])
         extras["estimated"] = bool(payload.get("estimated", False))

@@ -112,9 +112,21 @@ def affected_region(
     a non-empty update, and never the whole graph unless the update
     genuinely reaches everything.
     """
+    return forward_halo(
+        new_graph, update_seeds(old_graph, new_graph, delta), hops
+    )
+
+
+def forward_halo(
+    new_graph: CSRGraph, seeds: np.ndarray, hops: int = 2
+) -> np.ndarray:
+    """:func:`affected_region` from already-derived :func:`update_seeds`.
+
+    Callers that also need the seeds (to charge the changed pages'
+    score mass) derive them once and expand them here.
+    """
     if hops < 0:
         raise GraphError(f"hops must be >= 0, got {hops}")
-    seeds = update_seeds(old_graph, new_graph, delta)
     if seeds.size == 0:
         return seeds
     return bfs_within_depth(new_graph, seeds, hops)

@@ -45,7 +45,7 @@ from repro.graph.digraph import CSRGraph
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.pagerank.backends import float32_l1_bound, resolve_backend
 from repro.pagerank.solver import PowerIterationSettings
-from repro.updates.affected import affected_region, update_seeds
+from repro.updates.affected import forward_halo, update_seeds
 from repro.updates.delta import GraphDelta
 
 
@@ -185,7 +185,8 @@ def incremental_rerank(
             f"({old_graph.num_nodes},), got {old_scores.shape}"
         )
     start = time.perf_counter()
-    region = affected_region(old_graph, new_graph, hops, delta)
+    seeds = update_seeds(old_graph, new_graph, delta)
+    region = forward_halo(new_graph, seeds, hops)
     if region.size == 0:
         runtime = time.perf_counter() - start
         return UpdateResult(
@@ -233,7 +234,6 @@ def incremental_rerank(
     # Staleness accounting: the changed pages (delta sources ∪ new
     # pages, or the row diff) carried `stale`-mass the update may
     # have moved; Ng et al.'s bound turns that mass into ‖ΔE‖₁.
-    seeds = update_seeds(old_graph, new_graph, delta)
     from repro.pagerank.stability import perturbation_bound
 
     delta_e_bound = perturbation_bound(stale, seeds, damping)

@@ -335,20 +335,3 @@ class TestValidation:
                 transition_t, np.full((n, 1), 1.0 / n),
                 dangling_mask=np.zeros(n - 1, dtype=bool),
             )
-
-    def test_initials_normalised_and_validated(self, dangling_setup):
-        transition_t, dangling_mask = dangling_setup
-        n = transition_t.shape[0]
-        teleports = base_set_teleports(n, 2, seed=43)
-        initials = np.full((n, 2), 3.0)
-        batched = batched_power_iteration(
-            transition_t, teleports,
-            dangling_mask=dangling_mask, initials=initials,
-        )
-        assert batched.converged.all()
-        with pytest.raises(ValueError, match="initials"):
-            batched_power_iteration(
-                transition_t, teleports,
-                dangling_mask=dangling_mask,
-                initials=np.full((n, 3), 1.0),
-            )

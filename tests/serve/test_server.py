@@ -397,41 +397,100 @@ class TestUpdateInvalidation:
         assert np.array_equal(outcome.scores.scores, expected.scores)
 
     def test_update_refresh_keeps_store_warm(self, web):
-        service = RankingService(
-            web.graph, settings=SETTINGS, registry=MetricsRegistry()
-        )
+        """Once an update's background refresh drains, the entry is a
+        fresh store hit: unflagged, charge-free and bit-identical to
+        offline ``approxrank()`` on the new graph, under either
+        default precision."""
+        from repro.pagerank.backends import set_default_backend
+
         nodes = np.asarray(NODES, dtype=np.int64)
 
-        async def main():
+        async def main(service):
             await service.rank(NODES, damping=0.5)
             delta = GraphDelta(added_edges=[(0, 5), (5, 12)])
-            report = await service.apply_update(delta, refresh=True)
-            assert report.refreshed >= 1
+            report = await service.apply_update(delta)
+            assert report.stale >= 1
+            await asyncio.gather(*tuple(service._refresh_tasks))
             outcome = await service.rank_with_meta(NODES, damping=0.5)
             health = service.health()
             await service.close()
             return outcome, health
 
-        outcome, health = asyncio.run(main())
-        assert outcome.cache_hit is True, "refreshed entry stays warm"
-        # The eager refresh warm-started from the stale vector: the
-        # result is near-fresh and honestly flagged with its residual
-        # bound (it is not bit-identical to a cold solve).
-        assert outcome.stale is True
-        assert outcome.staleness <= service.store.staleness_budget
-        assert outcome.scores.extras.get("warm_start") is True
-        expected = approxrank(
-            service.graph, nodes, replace(SETTINGS, damping=0.5)
+        for dtype in ("float64", "float32"):
+            set_default_backend(dtype)
+            try:
+                service = RankingService(
+                    web.graph, settings=SETTINGS, registry=MetricsRegistry()
+                )
+                outcome, health = asyncio.run(main(service))
+                expected = approxrank(
+                    service.graph, nodes, replace(SETTINGS, damping=0.5)
+                )
+            finally:
+                set_default_backend(None)
+            assert outcome.cache_hit is True, dtype
+            assert outcome.stale is False, dtype
+            assert outcome.staleness == 0.0
+            assert np.array_equal(
+                outcome.scores.scores, expected.scores
+            ), dtype
+            updates = health["updates"]
+            assert updates["applied"] == 1
+            assert updates["entries_refreshed"] >= 1
+            assert updates["staleness_spent"] > 0
+            assert updates["stale_entries"] == 0
+            assert updates["pending_refreshes"] == 0
+            assert "iterations_saved" not in updates
+
+    def test_second_update_while_refresh_pending(self, web):
+        """A second update lands before the first one's refresh ran:
+        nothing raises, the refreshes drain, and every entry on the
+        final graph is fresh and bit-identical or flagged within
+        budget."""
+        service = RankingService(
+            web.graph, settings=SETTINGS, registry=MetricsRegistry()
         )
-        np.testing.assert_allclose(
-            outcome.scores.scores, expected.scores, atol=1e-7
-        )
-        updates = health["updates"]
-        assert updates["applied"] == 1
-        assert updates["entries_refreshed"] >= 1
-        assert updates["staleness_spent"] > 0
-        assert updates["pending_refreshes"] == 0
-        assert updates["iterations_saved"] >= 0
+        subgraphs = [
+            list(range(40)), list(range(20, 70)), list(range(100, 160))
+        ]
+
+        async def main():
+            for nodes in subgraphs:
+                await service.rank(nodes, damping=0.5)
+            await service.apply_update(
+                GraphDelta(added_edges=[(0, 5), (5, 12), (30, 110)])
+            )
+            assert service._refresh_tasks, "first refresh not yet run"
+            await service.apply_update(
+                GraphDelta(added_edges=[(12, 0), (45, 130)])
+            )
+            while service._refresh_tasks:
+                await asyncio.gather(*tuple(service._refresh_tasks))
+            outcomes = [
+                await service.rank_with_meta(nodes, damping=0.5)
+                for nodes in subgraphs
+            ]
+            health = service.health()
+            await service.close()
+            return outcomes, health
+
+        outcomes, health = asyncio.run(main())
+        assert health["updates"]["applied"] == 2
+        assert health["updates"]["pending_refreshes"] == 0
+        budget = service.store.staleness_budget
+        for nodes, outcome in zip(subgraphs, outcomes):
+            if outcome.stale:
+                assert 0.0 < outcome.staleness <= budget
+            else:
+                assert outcome.staleness == 0.0
+                expected = approxrank(
+                    service.graph,
+                    np.asarray(nodes, dtype=np.int64),
+                    replace(SETTINGS, damping=0.5),
+                )
+                assert np.array_equal(
+                    outcome.scores.scores, expected.scores
+                )
 
 
 class TestUpdateEndpoint:

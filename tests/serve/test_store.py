@@ -342,6 +342,28 @@ class TestApplyUpdate:
         assert hit.stale is True
         assert hit.staleness == pytest.approx(report.staleness_charge)
 
+    def test_delta_less_update_diffs_rows_once(
+        self, graph, scores, monkeypatch
+    ):
+        # Without a delta the seeds are a full row diff; the region
+        # expansion and the charge share one derivation of them.
+        from repro.updates import affected
+
+        calls = []
+        diff = affected.changed_pages
+        monkeypatch.setattr(
+            affected,
+            "changed_pages",
+            lambda *args: calls.append(args) or diff(*args),
+        )
+        store = ScoreStore(registry=MetricsRegistry())
+        inside = np.arange(30, dtype=np.int64)
+        store.put(graph, inside, 0.85, scores)
+        new_graph = apply_delta(graph, self._delta_touching(graph, 5))
+        report = store.apply_update(graph, new_graph)
+        assert len(calls) == 1
+        assert report.stale == 1
+
     def test_update_metrics_emitted(self, graph, scores):
         registry = MetricsRegistry()
         store = ScoreStore(registry=registry)
@@ -660,41 +682,34 @@ class TestComposedCertificate:
     def test_float32_refresh_keeps_staleness_sound(self, spec):
         """After the k updates, refresh the entry the way
         ``RankingService._refresh_entry_sync`` does with float32 as
-        the process default: warm start from the stale entry, re-put
-        stale with ``(residual + tol)/(1−ε)``.  The float64 answer must
-        stay within the served bound, read with float32 active."""
-        from dataclasses import replace
-
+        the process default: a cold solve put back fresh.  The entry
+        serves unflagged and bit-identical to offline ``approxrank``
+        under float32, and the float64 answer stays within its
+        certified bound (the accuracy request's, which a plain request
+        would be shipped with ``?estimator=push``), read with float32
+        active."""
         from repro.core.precompute import ApproxRankPreprocessor
         from repro.pagerank.backends import set_default_backend
 
         damping = self.SETTINGS.damping
         for seed in (3, 17, 29):
             *__, (graph, store, request) = self._chain(spec, seed)
-            old = store.lookup(graph, self.NODES, damping).scores
-            initial = np.concatenate(
-                [old.scores, [old.extras["lambda_score"]]]
-            )
-            settings = replace(self.SETTINGS, safe_restart=True)
             set_default_backend("float32")
             try:
                 fresh = ApproxRankPreprocessor(graph).rank(
-                    self.NODES, settings, initial=initial
+                    self.NODES, self.SETTINGS
                 )
-                store.put(
-                    graph,
-                    np.asarray(fresh.local_nodes),
-                    damping,
-                    fresh,
-                    stale=True,
-                    staleness=(fresh.residual + settings.tolerance)
-                    / (1.0 - damping),
-                )
+                store.put(graph, self.NODES, damping, fresh)
                 hit = store.lookup(graph, self.NODES, damping)
-                bound = self._served_bound(request, hit)
+                offline = approxrank(graph, self.NODES, self.SETTINGS)
+                bound = self._served_bound(
+                    request or resolve_estimator("push"), hit
+                )
             finally:
                 set_default_backend(None)
             assert hit.scores is fresh
+            assert hit.stale is False and hit.staleness == 0.0
+            assert np.array_equal(hit.scores.scores, offline.scores)
             gap = self._gap_to_truth(graph, hit.scores)
             assert gap <= bound, (spec, seed, gap, bound)
 
