@@ -313,8 +313,6 @@ def build_extended_graph(
     external_weights: np.ndarray,
     mode: str = "custom",
     personalization: np.ndarray | None = None,
-    _transition: sparse.csr_matrix | None = None,
-    _dangling_mask: np.ndarray | None = None,
 ) -> ExtendedLocalGraph:
     """Assemble ``G_e`` for an arbitrary external-importance vector E.
 
@@ -341,10 +339,6 @@ def build_extended_graph(
         :func:`collapse_personalization`).  Dangling pages — local and
         external — are assumed to jump according to the same P, which
         matches :func:`repro.pagerank.globalrank.global_pagerank`.
-    _transition, _dangling_mask:
-        Internal: a pre-built global transition matrix, supplied by
-        :class:`~repro.core.precompute.ApproxRankPreprocessor` to avoid
-        rebuilding it per subgraph.
 
     Returns
     -------
@@ -370,20 +364,11 @@ def build_extended_graph(
     #   * to_lambda: residual row mass = total probability of a local
     #     page stepping outside the subgraph (dangling local pages have
     #     zero rows here; their patched mass goes through P_ideal).
-    if _transition is None or _dangling_mask is None:
-        transition, dangling_mask = cached_transition_matrix(graph)
-        bundle = cached_local_block(graph, local)
-        local_block = bundle.local_block
-        local_dangling = bundle.local_dangling
-        to_lambda = bundle.to_lambda
-    else:
-        transition, dangling_mask = _transition, _dangling_mask
-        local_block = transition[local][:, local].tocsr()
-        row_sums = np.asarray(local_block.sum(axis=1)).ravel()
-        local_dangling = dangling_mask[local]
-        to_lambda = np.where(local_dangling, 0.0, 1.0 - row_sums)
-        # Guard against -1e-17 style float residue.
-        np.clip(to_lambda, 0.0, 1.0, out=to_lambda)
+    transition, dangling_mask = cached_transition_matrix(graph)
+    bundle = cached_local_block(graph, local)
+    local_block = bundle.local_block
+    local_dangling = bundle.local_dangling
+    to_lambda = bundle.to_lambda
 
     # Bottom row: E-weighted average of the external pages' rows,
     # restricted to local columns.  (A^T w)[local] covers non-dangling

@@ -37,7 +37,15 @@ def normalize_node_set(graph: CSRGraph, nodes: Iterable[int]) -> np.ndarray:
         If the set is empty, contains duplicates, or contains ids
         outside ``[0, graph.num_nodes)``.
     """
-    node_array = np.asarray(list(nodes), dtype=np.int64)
+    if (
+        isinstance(nodes, np.ndarray)
+        and nodes.ndim == 1
+        and np.can_cast(nodes.dtype, np.int64)
+    ):
+        # Lossless: skip the round trip through numpy scalars.
+        node_array = nodes.astype(np.int64, copy=False)
+    else:
+        node_array = np.asarray(list(nodes), dtype=np.int64)
     if node_array.size == 0:
         raise SubgraphError("local node set must not be empty")
     node_array = np.sort(node_array)

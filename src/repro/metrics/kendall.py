@@ -11,7 +11,6 @@ order and 1 means exactly reversed.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import MetricError
 
@@ -45,6 +44,10 @@ def kendall_distance(
         return 0.0
     if np.all(reference == reference[0]) or np.all(estimate == estimate[0]):
         return 0.5
+    # Imported here: scipy.stats costs every importer of repro ~1 s and
+    # ~40 MiB (a serving process never computes a Kendall distance).
+    from scipy import stats
+
     tau = stats.kendalltau(reference, estimate).statistic
     if np.isnan(tau):
         return 0.5

@@ -19,6 +19,64 @@ import numpy as np
 from repro.exceptions import DatasetError
 from repro.graph.digraph import CSRGraph
 
+#: Pages assembled per pass.  Bounding the temporaries (a few hundred
+#: KiB) keeps the build from leaving heap growth behind: arrays sized
+#: to the whole corpus raise glibc's dynamic mmap threshold, and their
+#: successors then stay resident after they are freed.
+_CHUNK_PAGES = 4096
+
+
+def _assign_chunk(
+    rng: np.random.Generator,
+    counts: np.ndarray,
+    starts: np.ndarray,
+    global_cdf: np.ndarray,
+    slice_size: int,
+    coherence: float,
+    num_terms: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of consecutive pages: the flat array and per-page lengths.
+
+    Page ``i`` draws ``counts[i]`` terms; its group's slice of the
+    vocabulary begins at ``starts[i]``.  The RNG calls run page by
+    page in a fixed order — the coherence coins, the global draws,
+    then the group draws — so every page gets the same terms whatever
+    the chunking; the rest is whole-array work.  Each page's terms
+    come back sorted and distinct.
+    """
+    total = int(counts.sum())
+    coins = np.empty(total)
+    global_draws = np.empty(total)
+    group_draws: list[np.ndarray] = []
+    random, integers = rng.random, rng.integers
+    position = used = 0
+    for count in counts.tolist():
+        coin = random(out=coins[position : position + count])
+        n_group = np.count_nonzero(coin < coherence)
+        n_global = count - n_group
+        if n_global:
+            random(out=global_draws[used : used + n_global])
+            used += n_global
+        if n_group:
+            group_draws.append(integers(0, slice_size, n_group))
+        position += count
+
+    use_group = coins < coherence
+    page = np.repeat(np.arange(counts.size), counts)
+    terms = np.empty(total, dtype=np.int64)
+    terms[~use_group] = np.searchsorted(global_cdf, global_draws[:used])
+    if group_draws:
+        terms[use_group] = starts[page[use_group]] + np.concatenate(
+            group_draws
+        )
+    np.clip(terms, 0, num_terms - 1, out=terms)
+    # Per-page np.unique: sort by (page, term) and drop repeats.
+    order = np.lexsort((terms, page))
+    terms, page = terms[order], page[order]
+    keep = np.ones(total, dtype=bool)
+    keep[1:] = (terms[1:] != terms[:-1]) | (page[1:] != page[:-1])
+    return terms[keep], np.bincount(page[keep], minlength=counts.size)
+
 
 class SyntheticLexicon:
     """Deterministic page-term assignment with an inverted index.
@@ -101,44 +159,70 @@ class SyntheticLexicon:
             else np.zeros(num_groups, dtype=np.int64)
         )
 
-        page_terms: list[np.ndarray] = []
-        postings: dict[int, list[int]] = {}
         counts = np.maximum(rng.poisson(terms_per_page, num_pages), 1)
-        for page in range(num_pages):
-            count = int(counts[page])
-            use_group = rng.random(count) < coherence
-            terms = np.empty(count, dtype=np.int64)
-            n_global = int((~use_group).sum())
-            if n_global:
-                draws = rng.random(n_global)
-                terms[~use_group] = np.searchsorted(global_cdf, draws)
-            n_group = count - n_global
-            if n_group:
-                start = group_start[group_of[page]]
-                terms[use_group] = start + rng.integers(
-                    0, slice_size, n_group
-                )
-            terms = np.unique(np.clip(terms, 0, num_terms - 1))
-            page_terms.append(terms)
-            for term in terms:
-                postings.setdefault(int(term), []).append(page)
+        indptr = np.zeros(num_pages + 1, dtype=np.int64)
+        chunks: list[np.ndarray] = []
+        for lo in range(0, num_pages, _CHUNK_PAGES):
+            hi = min(lo + _CHUNK_PAGES, num_pages)
+            terms, lengths = _assign_chunk(
+                rng,
+                counts[lo:hi],
+                group_start[group_of[lo:hi]],
+                global_cdf,
+                slice_size,
+                coherence,
+                num_terms,
+            )
+            chunks.append(terms)
+            indptr[lo + 1 : hi + 1] = lengths
+        np.cumsum(indptr, out=indptr)
+        self._indptr = indptr
+        self._terms = np.concatenate(chunks)
+        del chunks
 
-        self._page_terms = page_terms
+        # Postings: page ids grouped by term, ascending within a term
+        # (a stable sort of the page-ordered flat array), keyed in the
+        # order terms first appear page by page.
+        order = np.argsort(self._terms, kind="stable")
+        pages = np.searchsorted(indptr, order, side="right")
+        del order
+        pages -= 1
+        frequency = np.bincount(self._terms, minlength=num_terms)
+        present = np.flatnonzero(frequency)
+        ends = np.cumsum(frequency[present])
+        starts = ends - frequency[present]
+        first = np.lexsort((present, pages[starts]))
         self._postings = {
-            term: np.asarray(pages, dtype=np.int64)
-            for term, pages in postings.items()
+            term: pages[lo:hi]
+            for term, lo, hi in zip(
+                present[first].tolist(),
+                starts[first].tolist(),
+                ends[first].tolist(),
+            )
         }
 
     @property
     def num_pages(self) -> int:
         """Number of pages terms were assigned to."""
-        return len(self._page_terms)
+        return self._indptr.size - 1
+
+    @property
+    def page_terms(self) -> np.ndarray:
+        """Every page's sorted distinct terms, concatenated in page
+        order (the CSR ``indices`` of the page × term matrix)."""
+        return self._terms
+
+    @property
+    def page_offsets(self) -> np.ndarray:
+        """Page ``p``'s terms are ``page_terms[page_offsets[p]:
+        page_offsets[p + 1]]`` (the CSR ``indptr``)."""
+        return self._indptr
 
     def terms_of(self, page: int) -> np.ndarray:
         """Sorted distinct terms of one page."""
-        if not 0 <= page < len(self._page_terms):
+        if not 0 <= page < self.num_pages:
             raise DatasetError(f"unknown page {page}")
-        return self._page_terms[page]
+        return self._terms[self._indptr[page] : self._indptr[page + 1]]
 
     def pages_with_term(self, term: int) -> np.ndarray:
         """Sorted ids of pages containing ``term`` (possibly empty)."""

@@ -110,34 +110,18 @@ class PageEmbeddings:
             raise DatasetError(f"dim must be >= 1, got {dim}")
         num_pages = lexicon.num_pages
         num_terms = lexicon.num_terms
-        df = np.zeros(num_terms, dtype=np.float64)
-        for term in range(num_terms):
-            df[term] = lexicon.document_frequency(term)
+        terms = lexicon.page_terms
+        df = np.bincount(terms, minlength=num_terms).astype(np.float64)
         idf = np.log((1.0 + num_pages) / (1.0 + df)) + 1.0
         buckets, signs = _hash_terms(num_terms, dim, seed)
-
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        for page in range(num_pages):
-            terms = lexicon.terms_of(page)
-            if terms.size == 0:
-                continue
-            rows.append(np.full(terms.size, page, dtype=np.int64))
-            cols.append(buckets[terms])
-            data.append(idf[terms] * signs[terms])
-        if rows:
-            matrix = sparse.coo_matrix(
-                (
-                    np.concatenate(data),
-                    (np.concatenate(rows), np.concatenate(cols)),
-                ),
-                shape=(num_pages, dim),
-            ).tocsr()
-        else:
-            matrix = sparse.csr_matrix(
-                (num_pages, dim), dtype=np.float64
-            )
+        rows = np.repeat(
+            np.arange(num_pages, dtype=np.int64),
+            np.diff(lexicon.page_offsets),
+        )
+        matrix = sparse.coo_matrix(
+            (idf[terms] * signs[terms], (rows, buckets[terms])),
+            shape=(num_pages, dim),
+        ).tocsr()
         matrix.sum_duplicates()
         matrix.sort_indices()
         _normalize_rows(matrix)

@@ -48,6 +48,56 @@ class TestNormalize:
         with pytest.raises(SubgraphError, match="must lie in"):
             normalize_node_set(example_graph, [0, 5])
 
+    # Every container form gives the same array or the same error text;
+    # a 1-D integer ndarray is cast directly, anything else goes
+    # through a list.
+    FORMS = {
+        "list": list,
+        "tuple": tuple,
+        "generator": lambda ids: (i for i in ids),
+        "int32": lambda ids: np.asarray(ids, dtype=np.int32),
+        "int64": lambda ids: np.asarray(ids, dtype=np.int64),
+        "uint8": lambda ids: np.asarray(ids, dtype=np.uint8),
+        "float64": lambda ids: np.asarray(ids, dtype=np.float64),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS) + ["set"])
+    def test_every_form_normalizes_alike(self, example_graph, form):
+        make = set if form == "set" else self.FORMS[form]
+        nodes = make([4, 0, 3])
+        result = normalize_node_set(example_graph, nodes)
+        assert result.dtype == np.int64
+        assert result.tolist() == [0, 3, 4]
+        if isinstance(nodes, np.ndarray):
+            assert not np.shares_memory(result, nodes)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([], "local node set must not be empty"),
+            ([1, 0, 1], "local node set contains duplicate ids"),
+            ([0, 5], "local node ids must lie in [0, 5), got range [0, 5]"),
+            ([2, 9, 1], "local node ids must lie in [0, 5), got range [1, 9]"),
+        ],
+    )
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_every_form_fails_alike(self, example_graph, form, ids, message):
+        with pytest.raises(SubgraphError) as raised:
+            normalize_node_set(example_graph, self.FORMS[form](ids))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("form", ["int32", "int64"])
+    def test_negative_ids_fail_alike(self, example_graph, form):
+        with pytest.raises(SubgraphError) as raised:
+            normalize_node_set(example_graph, self.FORMS[form]([-1, 2]))
+        assert str(raised.value) == (
+            "local node ids must lie in [0, 5), got range [-1, 2]"
+        )
+
+    def test_float_ids_truncate(self, example_graph):
+        for ids in ([2.9, 0.2], np.asarray([2.9, 0.2])):
+            assert normalize_node_set(example_graph, ids).tolist() == [0, 2]
+
     def test_membership_mask(self, example_graph):
         nodes = normalize_node_set(example_graph, [0, 2])
         mask = membership_mask(example_graph, nodes)

@@ -299,9 +299,9 @@ class TestUpdateInvalidation:
         attached — a silently stale read is impossible.  The first
         post-update answer is deterministically the old entry served
         stale-but-bounded (the background refresh has not run yet);
-        after the refresh drains, the served entry is near-fresh but
-        still honestly flagged (only bit-identical cold results are
-        unflagged).
+        after the refresh drains, the entry has been re-ranked cold on
+        the new graph, so the second answer is fresh: unflagged and
+        bit-identical to the offline solve.
         """
         service = RankingService(
             web.graph, settings=SETTINGS, registry=MetricsRegistry()
@@ -354,10 +354,12 @@ class TestUpdateInvalidation:
         assert first.staleness == pytest.approx(
             report.staleness_charge
         )
-        # The refresh re-ranked incrementally: the charge collapsed to
-        # the warm solve's truncation bound.
+        # The refresh re-ranked the entry cold on the new graph and put
+        # it back fresh.
         assert second.cache_hit is True
-        assert second.staleness < first.staleness
+        assert second.stale is False
+        assert second.staleness == 0.0
+        assert np.array_equal(second.scores.scores, expected.scores)
         assert not np.array_equal(
             second.scores.scores, before.scores.scores
         ), "the refresh must absorb the update into the scores"
