@@ -59,8 +59,8 @@ cluster-smoke:
 	$(PYTHON) -m pytest -q tests/serve/test_cluster.py
 
 # Incremental re-ranking smoke: the updates test suite (region
-# detection, warm starts, staleness certificates, metrics), then the
-# stale-but-bounded serving contract pins in the serve suite.
+# detection, the offline-recipe pin, staleness certificates, metrics),
+# then the stale-but-bounded serving contract pins in the serve suite.
 update-smoke:
 	$(PYTHON) -m pytest -q -m updates tests/updates
 	$(PYTHON) -m pytest -q tests/serve/test_server.py -k Update

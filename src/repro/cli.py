@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true",
         help=(
             "log the library's repro.* loggers (executor retries, "
-            "solver restarts, fault injections) to stderr at INFO level"
+            "fault injections) to stderr at INFO level"
         ),
     )
     return parser

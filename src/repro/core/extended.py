@@ -99,7 +99,6 @@ class ExtendedLocalGraph:
         self,
         settings: PowerIterationSettings | None = None,
         teleport_override: np.ndarray | None = None,
-        initial: np.ndarray | None = None,
         backend=None,
     ) -> "ExtendedSolveOutcome":
         """Run the random walk of Equation (1)/(6) to its fixed point.
@@ -115,12 +114,6 @@ class ExtendedLocalGraph:
             ``1/(n+1)``, which ignores how much teleport mass the
             external world really absorbs).  Dangling local pages
             redistribute through the same vector.
-        initial:
-            Optional length-(n+1) warm-start vector in the extended
-            space (local scores followed by Λ); the solver normalises
-            it.  A warm iterate close to the fixed point skips the
-            burn-in sweeps a cold start needs (``warm_start`` /
-            ``iterations_saved`` on the outcome record the savings).
         backend:
             Solver precision
             (:class:`~repro.pagerank.backends.SolverBackend`,
@@ -137,7 +130,6 @@ class ExtendedLocalGraph:
             dangling_mask=self.dangling_mask_ext,
             dangling_dist=teleport,
             settings=settings,
-            initial=initial,
             backend=backend,
         )
         return ExtendedSolveOutcome(
@@ -147,8 +139,6 @@ class ExtendedLocalGraph:
             residual=outcome.residual,
             converged=outcome.converged,
             runtime_seconds=outcome.runtime_seconds,
-            warm_start=outcome.warm_start,
-            iterations_saved=outcome.iterations_saved,
         )
 
     def solve_many(
@@ -211,13 +201,7 @@ class ExtendedLocalGraph:
 
 @dataclass(frozen=True)
 class ExtendedSolveOutcome:
-    """Solver output split into local scores and the Λ score.
-
-    ``warm_start`` / ``iterations_saved`` carry the warm-start
-    accounting of the underlying
-    :class:`~repro.pagerank.solver.PowerIterationOutcome` (both
-    zero/False for cold and batched solves).
-    """
+    """Solver output split into local scores and the Λ score."""
 
     local_scores: np.ndarray
     lambda_score: float
@@ -225,8 +209,6 @@ class ExtendedSolveOutcome:
     residual: float
     converged: bool
     runtime_seconds: float
-    warm_start: bool = False
-    iterations_saved: int = 0
 
 
 def p_ideal_vector(num_global: int, num_local: int) -> np.ndarray:
@@ -436,9 +418,6 @@ def solve_to_subgraph_scores(
 ) -> SubgraphScores:
     """Package an extended-graph solve as a harness-facing result."""
     merged_extras = {"lambda_score": solve.lambda_score}
-    if solve.warm_start:
-        merged_extras["warm_start"] = True
-        merged_extras["iterations_saved"] = solve.iterations_saved
     if extras:
         merged_extras.update(extras)
     return SubgraphScores(

@@ -32,7 +32,6 @@ def idealrank(
     external_scores: np.ndarray,
     settings: PowerIterationSettings | None = None,
     personalization: np.ndarray | None = None,
-    initial: np.ndarray | None = None,
     backend=None,
 ) -> SubgraphScores:
     """Compute IdealRank scores for the local pages.
@@ -54,10 +53,6 @@ def idealrank(
         Optional global teleport distribution (length N); Theorem 1
         holds for any P (ObjectRank base sets, personalised ranking),
         provided ``external_scores`` came from a walk with the same P.
-    initial:
-        Optional length-(n+1) warm-start vector in the extended space
-        (local scores then Λ); used by the incremental re-ranking
-        engine to skip cold-start burn-in sweeps.
     backend:
         Solver precision forwarded to the solver (``None`` = process
         default).
@@ -76,7 +71,7 @@ def idealrank(
         graph, local, weights, mode="ideal",
         personalization=personalization,
     )
-    solve = extended.solve(settings, initial=initial, backend=backend)
+    solve = extended.solve(settings, backend=backend)
     runtime = time.perf_counter() - start
     return solve_to_subgraph_scores(
         extended, method="idealrank", total_runtime=runtime, solve=solve

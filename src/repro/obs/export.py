@@ -423,11 +423,10 @@ def _solver_section(metrics: Mapping) -> list[str]:
     divergences = _metric_total(
         metrics, "repro_solver_divergence_trips_total"
     )
-    restarts = _metric_total(metrics, "repro_solver_safe_restarts_total")
-    if unconverged or divergences or restarts:
+    if unconverged or divergences:
         rows.append(
             f"  unconverged {int(unconverged)}  divergence trips "
-            f"{int(divergences)}  safe restarts {int(restarts)}"
+            f"{int(divergences)}"
         )
     if len(rows) <= 2:
         return []
@@ -557,16 +556,13 @@ def _updates_section(metrics: Mapping) -> list[str]:
     regions = _metric_total(
         metrics, "repro_update_regions_reranked_total"
     )
-    saved = _metric_total(
-        metrics, "repro_update_iterations_saved_total"
-    )
     spent = _metric_total(
         metrics, "repro_update_staleness_spent_total"
     )
-    refresh_samples = _sample_map(
+    refreshes = _metric_total(
         metrics, "repro_update_background_refreshes_total"
     )
-    if not (applied or regions or saved or refresh_samples):
+    if not (applied or regions or refreshes):
         return []
     rows = ["Updates (incremental re-ranking)"]
     if applied or spent:
@@ -580,20 +576,11 @@ def _updates_section(metrics: Mapping) -> list[str]:
                 budget_samples[0]["value"]
             )
         rows.append(line)
-    if regions or saved:
+    if regions or refreshes:
         rows.append(
             f"  regions re-ranked {int(regions)}  "
-            f"iterations saved {int(saved)}"
+            f"background refreshes {int(refreshes)}"
         )
-    refreshes = [
-        "{}={}".format(
-            s["labels"].get("mode", "?"), int(s["value"])
-        )
-        for s in refresh_samples
-        if s.get("value")
-    ]
-    if refreshes:
-        rows.append("  refreshes: " + "  ".join(refreshes))
     stale = _metric_total(metrics, "repro_update_stale_entries")
     if stale:
         rows.append(f"  stale-but-bounded entries {int(stale)}")

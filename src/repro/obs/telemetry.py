@@ -6,7 +6,7 @@ The solver layers (:mod:`repro.pagerank.solver`,
 solve through this module.  Two tiers of recording:
 
 * **Registry metrics — always on.**  Iteration-count and runtime
-  histograms, solve/divergence/restart counters and workspace
+  histograms, solve/divergence counters and workspace
   allocation counters go to :data:`repro.obs.metrics.REGISTRY`
   unconditionally: the cost is a few locked dict updates *per solve*
   (never per sweep), which is noise next to a single sparse mat-vec.
@@ -41,7 +41,6 @@ __all__ = [
     "record_solve",
     "record_batched_solve",
     "record_divergence",
-    "record_safe_restart",
     "record_workspace_allocation",
     "history_payload",
     "reset",
@@ -273,15 +272,6 @@ def record_divergence(solver: str, iterations: int) -> None:
         "Sweep index of the most recent divergence trip",
         solver=solver,
     ).set(iterations)
-
-
-def record_safe_restart(solver: str) -> None:
-    """Count a safe-restart recovery from a corrupt warm start."""
-    REGISTRY.counter(
-        "repro_solver_safe_restarts_total",
-        "One-shot restarts from the personalisation vector",
-        solver=solver,
-    ).inc()
 
 
 def record_workspace_allocation(size: int, num_bytes: int) -> None:

@@ -238,36 +238,6 @@ def l1_residual_into(
     return float(scratch.sum())
 
 
-def projected_cold_iterations(
-    tolerance: float,
-    damping: float,
-    max_iterations: int,
-) -> int:
-    """Sweeps a *cold* start needs to reach ``tolerance``.
-
-    The damped update is a ``damping``-contraction in L1, so the
-    per-sweep residual of a cold (teleport-started) run decays
-    geometrically from its initial value — at most ``2`` (the L1
-    diameter of the probability simplex).  Solving
-    ``2 * damping**k < tolerance`` gives the projected sweep count;
-    at the paper's ε=0.85 and a 1e-9 tolerance this lands at ~132,
-    matching the ~131-iteration global runs of §V-A.
-
-    This is the yardstick ``iterations_saved`` is measured against
-    when a solve is warm-started: a warm iterate enters the loop with
-    a residual already far below 2, so it skips the burn-in sweeps a
-    cold start pays for.
-    """
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"damping must be in (0, 1), got {damping}")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if tolerance >= 2.0:
-        return 1
-    projected = int(np.ceil(np.log(2.0 / tolerance) / np.log(1.0 / damping)))
-    return int(min(max(projected, 1), max_iterations))
-
-
 def run_power_loop(
     transition_t: sparse.csr_matrix,
     *,

@@ -102,11 +102,6 @@ class SubgraphScores:
             Score of the artificial page ξ (LPR2).
         ``"expansion_sizes"`` / ``"k"`` / ``"supergraph_size"``
             SC expansion accounting (Tables V/VI columns).
-        ``"warm_start"`` / ``"iterations_saved"``
-            Present when the solve was warm-started from a previous
-            score vector: the flag, and the burn-in sweeps skipped
-            relative to a projected cold start (incremental
-            re-ranking engine).
     """
 
     local_nodes: np.ndarray

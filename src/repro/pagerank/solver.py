@@ -17,7 +17,6 @@ iterates drops below the tolerance, matching the paper's criterion
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 
@@ -27,13 +26,7 @@ from scipy import sparse
 from repro.exceptions import ConvergenceError, DivergenceError
 from repro.obs import telemetry
 from repro.pagerank.backends import SolverBackend, resolve_backend
-from repro.pagerank.kernels import (
-    PowerIterationWorkspace,
-    projected_cold_iterations,
-    run_power_loop,
-)
-
-log = logging.getLogger(__name__)
+from repro.pagerank.kernels import PowerIterationWorkspace, run_power_loop
 
 
 #: Damping factor ε used throughout the paper's experiments (§V-A).
@@ -73,11 +66,6 @@ class PowerIterationSettings:
         many *consecutive* sweeps whose residual failed to improve on
         the best seen (the damped update contracts in L1, so a healthy
         run improves every sweep).  ``0`` disables the guard.
-    safe_restart:
-        When a guard trips on a solve that started from a caller-
-        supplied ``initial`` vector, retry once from the
-        personalisation vector (a corrupted warm start is the common
-        cause of divergence); the restart keeps every guard armed.
     """
 
     damping: float = DEFAULT_DAMPING
@@ -86,7 +74,6 @@ class PowerIterationSettings:
     raise_on_divergence: bool = False
     check_finite: bool = True
     divergence_patience: int = 25
-    safe_restart: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.damping < 1.0:
@@ -108,23 +95,13 @@ class PowerIterationSettings:
 
 @dataclass(frozen=True)
 class PowerIterationOutcome:
-    """Raw solver output (scores plus convergence accounting).
-
-    ``warm_start`` records whether the solve started from a
-    caller-supplied ``initial`` vector; ``iterations_saved`` is the
-    number of burn-in sweeps the warm start skipped relative to the
-    projected cold-start cost at the same effective tolerance (see
-    :func:`repro.pagerank.kernels.projected_cold_iterations`).  Both
-    are zero/False for cold solves.
-    """
+    """Raw solver output (scores plus convergence accounting)."""
 
     scores: np.ndarray
     iterations: int
     residual: float
     converged: bool
     runtime_seconds: float
-    warm_start: bool = False
-    iterations_saved: int = 0
 
 
 def _validate_distribution(name: str, vector: np.ndarray, size: int) -> np.ndarray:
@@ -157,11 +134,12 @@ def power_iteration(
     dangling_mask: np.ndarray | None = None,
     dangling_dist: np.ndarray | None = None,
     settings: PowerIterationSettings | None = None,
-    initial: np.ndarray | None = None,
     workspace: PowerIterationWorkspace | None = None,
     backend: "SolverBackend | str | None" = None,
 ) -> PowerIterationOutcome:
     """Run the damped power iteration to its stationary distribution.
+
+    Every solve starts cold, from the personalisation vector.
 
     The iteration itself runs on the allocation-free kernels of the
     selected :class:`~repro.pagerank.backends.SolverBackend`: iterate
@@ -186,9 +164,6 @@ def power_iteration(
         Where dangling mass is redistributed; defaults to ``teleport``.
     settings:
         Solver knobs; defaults to the paper's (ε=0.85, tol=1e-5).
-    initial:
-        Starting vector; defaults to ``teleport``.  It is normalised to
-        sum to 1.
     workspace:
         Optional preallocated
         :class:`~repro.pagerank.kernels.PowerIterationWorkspace` of the
@@ -256,20 +231,7 @@ def power_iteration(
     if workspace is None:
         workspace = PowerIterationWorkspace(size, dtype=prepared.dtype)
 
-    warm_start = initial is not None
-    if initial is None:
-        start_vector = teleport
-    else:
-        initial = np.asarray(initial, dtype=np.float64)
-        if initial.shape != (size,):
-            raise ValueError(
-                f"initial must have shape ({size},), got {initial.shape}"
-            )
-        total = initial.sum()
-        if total <= 0:
-            raise ValueError("initial vector must have positive mass")
-        start_vector = initial / total
-    np.copyto(workspace.x, prepared.to_backend(start_vector))
+    np.copyto(workspace.x, prepared.to_backend(teleport))
 
     damping = settings.damping
     base = prepared.to_backend((1.0 - damping) * teleport)
@@ -296,41 +258,7 @@ def power_iteration(
         )
     except DivergenceError as exc:
         telemetry.record_divergence("power", exc.iterations or 0)
-        if not (settings.safe_restart and warm_start):
-            raise
-        # Safe restart: a guard tripped on a caller-supplied warm
-        # start; rerun once from the personalisation vector with the
-        # guards still armed.  A structurally bad problem (NaN in the
-        # matrix, say) diverges again and the second error propagates.
-        log.warning(
-            "solver guard tripped (%s); restarting from the "
-            "personalisation vector",
-            exc,
-        )
-        telemetry.record_safe_restart("power")
-        # The warm start was abandoned; the retry is a cold solve and
-        # must not claim warm-start savings.
-        warm_start = False
-        np.copyto(workspace.x, prepared.to_backend(teleport))
-        trace = [] if guarded else None
-        try:
-            iterations, residual, converged = run_power_loop(
-                prepared.matrix,
-                damping=damping,
-                base=base,
-                dangling_indices=kernel_dangling_indices,
-                dangling_dist=kernel_dangling_dist,
-                tolerance=tolerance,
-                max_iterations=settings.max_iterations,
-                workspace=workspace,
-                check_finite=settings.check_finite,
-                divergence_patience=settings.divergence_patience,
-                residual_trace=trace,
-                backend=backend,
-            )
-        except DivergenceError as restart_exc:
-            telemetry.record_divergence("power", restart_exc.iterations or 0)
-            raise
+        raise
     runtime = time.perf_counter() - start
     telemetry.record_solve(
         "power",
@@ -357,20 +285,12 @@ def power_iteration(
             iterations=iterations,
             residual=residual,
         )
-    iterations_saved = 0
-    if warm_start and converged:
-        projected = projected_cold_iterations(
-            tolerance, damping, settings.max_iterations
-        )
-        iterations_saved = max(0, projected - iterations)
     return PowerIterationOutcome(
         scores=scores,
         iterations=iterations,
         residual=residual,
         converged=converged,
         runtime_seconds=runtime,
-        warm_start=warm_start,
-        iterations_saved=iterations_saved,
     )
 
 

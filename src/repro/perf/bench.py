@@ -77,7 +77,6 @@ _TELEMETRY_HOOKS = (
     "record_solve",
     "record_batched_solve",
     "record_divergence",
-    "record_safe_restart",
     "record_workspace_allocation",
 )
 

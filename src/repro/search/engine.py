@@ -47,12 +47,11 @@ class SubgraphSearchEngine:
         self._lexicon = lexicon
         # Pre-sort once: queries then filter the ranked list.
         self._ranked_pages = scores.ranking()
-        self._in_subgraph = set(scores.local_nodes.tolist())
 
     @property
     def num_indexed(self) -> int:
         """Number of pages this engine can return."""
-        return len(self._in_subgraph)
+        return int(self._scores.local_nodes.size)
 
     def search(
         self,
@@ -69,20 +68,22 @@ class SubgraphSearchEngine:
         if k < 1:
             raise SubgraphError(f"k must be >= 1, got {k}")
         matching = self._lexicon.pages_matching(terms, mode)
-        matching_set = set(matching.tolist()) & self._in_subgraph
-        hits: list[SearchHit] = []
-        for rank, page in enumerate(self._ranked_pages, start=1):
-            if int(page) in matching_set:
-                hits.append(
-                    SearchHit(
-                        page=int(page),
-                        score=self._scores.score_of(int(page)),
-                        rank=rank,
-                    )
-                )
-                if len(hits) == k:
-                    break
-        return hits
+        if matching.size == 0:
+            return []
+        # ``matching`` is sorted, so one binary search per subgraph
+        # page tests membership: the cost follows the subgraph, not
+        # the posting list.
+        ranked = self._ranked_pages
+        slots = np.searchsorted(matching, ranked)
+        found = matching[np.minimum(slots, matching.size - 1)] == ranked
+        return [
+            SearchHit(
+                page=int(ranked[i]),
+                score=self._scores.score_of(int(ranked[i])),
+                rank=int(i) + 1,
+            )
+            for i in np.flatnonzero(found)[:k]
+        ]
 
 
 def answer_overlap(

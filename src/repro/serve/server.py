@@ -633,9 +633,8 @@ class RankingService:
             self._entries_refreshed += 1
             self._registry.counter(
                 "repro_update_background_refreshes_total",
-                "Stale store entries re-ranked after a graph update, "
-                "by scheduling mode.",
-                mode="background",
+                "Stale store entries re-ranked in the background after "
+                "a graph update.",
             ).inc()
 
     async def close(self) -> None:

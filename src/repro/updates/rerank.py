@@ -1,4 +1,4 @@
-"""Warm-started, splice-based incremental re-ranking with IdealRank.
+"""Splice-based incremental re-ranking with IdealRank.
 
 Given yesterday's global scores and a graph update, re-rank only the
 affected region (IdealRank with the stale external scores) and splice
@@ -6,14 +6,11 @@ the result into the old vector — the concrete procedure behind §I's
 "exploit existing PageRank scores for other regions of the graph which
 may remain largely unchanged".
 
-The regional solve is **warm-started** from the spliced old vector:
-yesterday's scores restricted to the region (plus the residual mass as
-Λ's share) enter the power loop with a residual already far below a
-cold start's, so the solve skips the burn-in sweeps and converges in a
-handful of iterations.  ``UpdateResult.iterations_saved`` records the
-skipped sweeps against the projected cold-start cost; the
-``safe_restart`` guard stays armed, so a corrupted warm start falls
-back to a cold solve instead of diverging.
+The regional solve is an ordinary cold IdealRank solve, so the result
+is bit-identical to running ``idealrank(new_graph, region, stale)``
+offline and splicing it into ``stale`` by hand.  The region is small;
+what the update saves is the global solve, not the sweeps of the
+regional one.
 
 Every update also returns a **staleness charge**: a computable upper
 bound on how far the spliced vector can sit from the true fixed point
@@ -35,7 +32,7 @@ Theorem-2 staleness budget.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,12 +63,6 @@ class UpdateResult:
         IdealRank solve + splice).
     iterations:
         Power-iteration count of the IdealRank solve.
-    warm_start:
-        Whether the regional solve started from the spliced old
-        vector (False for cold solves and the empty-update shortcut).
-    iterations_saved:
-        Burn-in sweeps the warm start skipped relative to a projected
-        cold solve at the same effective tolerance.
     delta_e_bound:
         Upper bound on ``‖ΔE‖₁`` — how far the update can have moved
         the external-importance vector the regional solve consumed
@@ -89,8 +80,6 @@ class UpdateResult:
     region: np.ndarray
     runtime_seconds: float
     iterations: int
-    warm_start: bool = False
-    iterations_saved: int = 0
     delta_e_bound: float = 0.0
     staleness_charge: float = 0.0
     backend: str = ""
@@ -130,7 +119,6 @@ def incremental_rerank(
     hops: int = 2,
     settings: PowerIterationSettings | None = None,
     backend=None,
-    warm_start: bool = True,
     registry: MetricsRegistry | None = None,
 ) -> UpdateResult:
     """Re-rank only the affected region, reusing yesterday's scores.
@@ -156,10 +144,6 @@ def incremental_rerank(
         solves widen the returned ``staleness_charge`` by the
         documented :func:`~repro.pagerank.backends.float32_l1_bound`
         clamp.
-    warm_start:
-        Start the regional solve from the spliced old vector
-        (default).  ``False`` forces a cold solve — the benchmark's
-        baseline arm.
     registry:
         Metrics registry for the ``repro_update_*`` counters (the
         process-wide one by default).
@@ -167,8 +151,8 @@ def incremental_rerank(
     Returns
     -------
     UpdateResult
-        Spliced score vector over the new graph plus warm-start and
-        staleness accounting.
+        Spliced score vector over the new graph plus staleness
+        accounting.
 
     Notes
     -----
@@ -211,21 +195,7 @@ def incremental_rerank(
     stale = np.full(new_graph.num_nodes, 1.0 / new_graph.num_nodes)
     stale[: old_graph.num_nodes] = old_scores
 
-    initial = None
-    if warm_start:
-        # The extended warm iterate: yesterday's region scores plus
-        # the residual mass as Λ's share (the solver normalises).  A
-        # corrupted warm start must not poison the solve, so the
-        # safe_restart guard is armed for the regional solve.
-        region_mass = stale[region]
-        lam = max(1.0 - float(region_mass.sum()), 0.0)
-        initial = np.concatenate([region_mass, [lam]])
-        settings = replace(settings, safe_restart=True)
-
-    ranked = idealrank(
-        new_graph, region, stale, settings,
-        initial=initial, backend=resolved,
-    )
+    ranked = idealrank(new_graph, region, stale, settings, backend=resolved)
 
     spliced = stale.copy()
     spliced[ranked.local_nodes] = ranked.scores
@@ -249,19 +219,11 @@ def incremental_rerank(
         float32_clamp=clamp,
     )
 
-    warm = bool(ranked.extras.get("warm_start", False))
-    saved = int(ranked.extras.get("iterations_saved", 0))
     metrics = registry if registry is not None else REGISTRY
     metrics.counter(
         "repro_update_regions_reranked_total",
         "Affected regions re-ranked by the incremental engine.",
     ).inc()
-    if saved:
-        metrics.counter(
-            "repro_update_iterations_saved_total",
-            "Power-iteration sweeps skipped by warm-started re-ranks "
-            "relative to projected cold solves.",
-        ).inc(saved)
 
     runtime = time.perf_counter() - start
     return UpdateResult(
@@ -269,8 +231,6 @@ def incremental_rerank(
         region=region,
         runtime_seconds=runtime,
         iterations=ranked.iterations,
-        warm_start=warm,
-        iterations_saved=saved,
         delta_e_bound=float(delta_e_bound),
         staleness_charge=float(charge),
         backend=resolved.dtype.name,

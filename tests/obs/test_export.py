@@ -72,9 +72,8 @@ def updates_golden_registry() -> MetricsRegistry:
     """A fixed update-stream workload pinned by the updates golden file.
 
     The ``repro_update_*`` family the incremental re-ranking engine
-    emits: update counts, regions re-ranked, iterations saved by warm
-    starts, staleness spend against the Theorem-2 budget, and
-    background/eager refresh counts.
+    emits: update counts, regions re-ranked, staleness spend against
+    the Theorem-2 budget, and background refresh counts.
     """
     reg = MetricsRegistry()
     reg.counter(
@@ -85,11 +84,6 @@ def updates_golden_registry() -> MetricsRegistry:
         "repro_update_regions_reranked_total",
         "Affected regions re-ranked by the incremental engine.",
     ).inc(3)
-    reg.counter(
-        "repro_update_iterations_saved_total",
-        "Power-iteration sweeps skipped by warm-started re-ranks "
-        "relative to projected cold solves.",
-    ).inc(250)
     reg.counter(
         "repro_update_staleness_spent_total",
         "Cumulative Theorem-2 staleness charge applied to store "
@@ -106,16 +100,9 @@ def updates_golden_registry() -> MetricsRegistry:
     ).set(2)
     reg.counter(
         "repro_update_background_refreshes_total",
-        "Stale store entries re-ranked after a graph update, by "
-        "scheduling mode.",
-        mode="background",
+        "Stale store entries re-ranked in the background after a "
+        "graph update.",
     ).inc(2)
-    reg.counter(
-        "repro_update_background_refreshes_total",
-        "Stale store entries re-ranked after a graph update, by "
-        "scheduling mode.",
-        mode="eager",
-    ).inc(1)
     return reg
 
 
@@ -416,9 +403,7 @@ class TestRenderReport:
         assert "updates applied 3" in report
         assert "staleness spent 0.125" in report
         assert "budget 1" in report
-        assert "regions re-ranked 3" in report
-        assert "iterations saved 250" in report
-        assert "refreshes: background=2  eager=1" in report
+        assert "regions re-ranked 3  background refreshes 2" in report
         assert "stale-but-bounded entries 2" in report
 
     def test_updates_section_absent_without_update_traffic(self):

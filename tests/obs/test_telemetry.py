@@ -154,14 +154,6 @@ class TestEventCounters:
             == 17
         )
 
-    def test_safe_restart_counter(self):
-        before = _value("repro_solver_safe_restarts_total", solver="power")
-        telemetry.record_safe_restart("power")
-        assert (
-            _value("repro_solver_safe_restarts_total", solver="power")
-            == before + 1
-        )
-
     def test_workspace_allocation_counters(self):
         before_n = _value("repro_solver_workspace_allocations_total")
         before_bytes = _value("repro_solver_workspace_bytes_total")

@@ -71,21 +71,6 @@ class TestPowerIteration:
         assert outcome.scores.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(outcome.scores > 0)
 
-    def test_initial_vector_does_not_change_fixed_point(
-        self, tight_settings
-    ):
-        transition_t = two_node_transition_t()
-        teleport = np.array([0.3, 0.7])
-        a = power_iteration(
-            transition_t, teleport, settings=tight_settings
-        )
-        b = power_iteration(
-            transition_t, teleport,
-            settings=tight_settings,
-            initial=np.array([0.99, 0.01]),
-        )
-        assert a.scores == pytest.approx(b.scores, abs=1e-9)
-
     def test_dangling_mass_goes_to_dangling_dist(self, tight_settings):
         # 0 -> 1, node 1 dangling.  With dangling_dist pinned on node 0
         # the chain keeps all mass cycling 0 -> 1 -> 0.
@@ -158,22 +143,6 @@ class TestValidation:
                 two_node_transition_t(),
                 teleport=uniform_teleport(2),
                 dangling_mask=np.array([True]),
-            )
-
-    def test_rejects_zero_mass_initial(self):
-        with pytest.raises(ValueError, match="positive mass"):
-            power_iteration(
-                two_node_transition_t(),
-                teleport=uniform_teleport(2),
-                initial=np.zeros(2),
-            )
-
-    def test_rejects_bad_initial_shape(self):
-        with pytest.raises(ValueError, match="initial"):
-            power_iteration(
-                two_node_transition_t(),
-                teleport=uniform_teleport(2),
-                initial=np.ones(3),
             )
 
 

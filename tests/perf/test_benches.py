@@ -222,11 +222,11 @@ class TestUpdates:
         record, __ = smoke("updates")
         per_update = record["facts"]["per_update"]
         assert len(per_update) == record["workload"]["updates"]
-        assert sum(u["warm_iterations"] for u in per_update) == _value(
-            record, "warm.iterations"
+        assert sum(u["iterations"] for u in per_update) == _value(
+            record, "rerank.iterations"
         )
-        assert sum(u["cold_iterations"] for u in per_update) == _value(
-            record, "cold.iterations"
+        assert sum(u["seconds"] for u in per_update) == pytest.approx(
+            _value(record, "rerank.seconds")
         )
 
     def test_correctness_clauses_are_never_waived(self, smoke):

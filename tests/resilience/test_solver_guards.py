@@ -1,4 +1,4 @@
-"""Divergence guards: NaN/Inf detection, stall patience, safe restart.
+"""Divergence guards: NaN/Inf detection and stall patience.
 
 Healthy damped power iteration is an L1 contraction — the residual
 improves every sweep — so the guards must never fire on well-formed
@@ -112,47 +112,6 @@ class TestPatienceGuard:
     def test_patience_validation(self):
         with pytest.raises(ValueError):
             PowerIterationSettings(divergence_patience=-1)
-
-
-class TestSafeRestart:
-    def test_corrupt_warm_start_raises_without_restart(self):
-        with pytest.raises(DivergenceError):
-            power_iteration(
-                two_cycle(),
-                uniform_teleport(2),
-                initial=np.array([np.nan, np.nan]),
-            )
-
-    def test_corrupt_warm_start_recovers_with_restart(self):
-        settings = PowerIterationSettings(safe_restart=True)
-        recovered = power_iteration(
-            two_cycle(),
-            uniform_teleport(2),
-            initial=np.array([np.nan, np.nan]),
-            settings=settings,
-        )
-        clean = power_iteration(two_cycle(), uniform_teleport(2))
-        assert recovered.converged
-        assert np.array_equal(recovered.scores, clean.scores)
-
-    def test_structurally_bad_problem_still_raises(self):
-        # Safe restart retries once; a NaN in the matrix itself
-        # diverges again and the second error must propagate.
-        settings = PowerIterationSettings(safe_restart=True)
-        with pytest.raises(DivergenceError):
-            power_iteration(
-                nan_matrix(),
-                uniform_teleport(2),
-                initial=np.array([0.5, 0.5]),
-                settings=settings,
-            )
-
-    def test_cold_start_never_restarts(self):
-        # No caller-supplied initial: a guard trip is structural and
-        # must surface even with safe_restart on.
-        settings = PowerIterationSettings(safe_restart=True)
-        with pytest.raises(DivergenceError):
-            power_iteration(nan_matrix(), uniform_teleport(2), settings=settings)
 
 
 class TestBatchedGuards:

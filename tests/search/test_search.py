@@ -9,6 +9,7 @@ from repro.generators.datasets import make_tiny_web
 from repro.pagerank.globalrank import global_pagerank
 from repro.pagerank.solver import PowerIterationSettings
 from repro.search.engine import (
+    SearchHit,
     SubgraphSearchEngine,
     answer_overlap,
     compare_engines,
@@ -274,6 +275,73 @@ class TestEngine:
             [top_term], k=10
         )
         assert [hit.page for hit in again] == pages
+
+
+def set_filter_search(scores, lexicon, terms, k, mode):
+    """The engine's former filter: the posting list as a Python set."""
+    in_subgraph = set(scores.local_nodes.tolist())
+    matching = set(lexicon.pages_matching(terms, mode).tolist())
+    matching &= in_subgraph
+    hits = []
+    for rank, page in enumerate(scores.ranking(), start=1):
+        if int(page) in matching:
+            hits.append(
+                SearchHit(
+                    page=int(page),
+                    score=scores.score_of(int(page)),
+                    rank=rank,
+                )
+            )
+            if len(hits) == k:
+                break
+    return hits
+
+
+class TestEngineMatchesSetFilter:
+    """The sorted-posting filter returns what the set filter did."""
+
+    @pytest.mark.parametrize("mode", ["all", "any"])
+    def test_random_queries(self, web, lexicon, domain_scores, mode):
+        engine = SubgraphSearchEngine(domain_scores, lexicon)
+        rng = np.random.default_rng(11)
+        popular = lexicon.popular_terms(40)
+        for __ in range(60):
+            pool = popular if rng.random() < 0.7 else np.arange(
+                lexicon.num_terms
+            )
+            terms = rng.choice(pool, size=int(rng.integers(1, 4)),
+                               replace=False).tolist()
+            k = int(rng.integers(1, 30))
+            assert engine.search(terms, k, mode) == set_filter_search(
+                domain_scores, lexicon, terms, k, mode
+            )
+
+    def test_no_matches(self, web, lexicon, domain_scores):
+        engine = SubgraphSearchEngine(domain_scores, lexicon)
+        nodes = domain_scores.local_nodes
+        outside = next(
+            t for t in range(lexicon.num_terms)
+            if not np.isin(lexicon.pages_with_term(t), nodes).any()
+        )
+        assert engine.search([outside], 5) == []
+        assert set_filter_search(
+            domain_scores, lexicon, [outside], 5, "all"
+        ) == []
+
+    @pytest.mark.parametrize("mode", ["all", "any"])
+    def test_k_beyond_matches(self, web, lexicon, domain_scores, mode):
+        engine = SubgraphSearchEngine(domain_scores, lexicon)
+        terms = lexicon.popular_terms(2).tolist()
+        k = engine.num_indexed + 50
+        hits = engine.search(terms, k, mode)
+        assert 0 < len(hits) < k
+        assert hits == set_filter_search(
+            domain_scores, lexicon, terms, k, mode
+        )
+
+    def test_num_indexed_counts_local_pages(self, lexicon, domain_scores):
+        engine = SubgraphSearchEngine(domain_scores, lexicon)
+        assert engine.num_indexed == domain_scores.local_nodes.size
 
 
 class TestCompareEngines:

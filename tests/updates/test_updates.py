@@ -295,7 +295,8 @@ class TestIncrementalRerank:
 
 
 class TestWarmStartAndStaleness:
-    """The incremental engine's warm-start and Theorem-2 accounting."""
+    """The incremental engine's cold regional solve and Theorem-2
+    accounting."""
 
     def _setup(self, n=400, seed=23):
         graph = random_digraph(n, mean_degree=5.0, seed=seed)
@@ -307,26 +308,43 @@ class TestWarmStartAndStaleness:
         updated = apply_delta(graph, delta)
         return graph, updated, delta, old_truth
 
-    def test_warm_start_saves_iterations_and_matches_cold(self):
-        graph, updated, delta, old_truth = self._setup()
-        warm = incremental_rerank(
-            graph, updated, old_truth.scores, delta=delta,
-            settings=SETTINGS,
+    @pytest.mark.parametrize("backend", ["float64", "float32"])
+    @pytest.mark.parametrize("new_pages", [0, 3])
+    def test_rerank_is_bit_identical_to_offline_recipe(
+        self, backend, new_pages
+    ):
+        # The re-rank is nothing but the offline recipe: IdealRank of
+        # the region against yesterday's scores (new pages at the
+        # teleport share), spliced into those scores and renormalised.
+        from repro.core.idealrank import idealrank
+        from repro.updates.affected import forward_halo, update_seeds
+
+        graph, _, delta, old_truth = self._setup()
+        n = graph.num_nodes
+        delta = GraphDelta(
+            added_edges=delta.added_edges
+            + tuple((n + i, 100 + i) for i in range(new_pages)),
+            removed_edges=delta.removed_edges,
+            new_pages=new_pages,
         )
-        cold = incremental_rerank(
+        updated = apply_delta(graph, delta)
+        result = incremental_rerank(
             graph, updated, old_truth.scores, delta=delta,
-            settings=SETTINGS, warm_start=False,
+            settings=SETTINGS, backend=backend,
         )
-        assert warm.warm_start is True
-        assert cold.warm_start is False
-        assert cold.iterations_saved == 0
-        assert warm.iterations_saved > 0
-        assert warm.iterations <= cold.iterations
-        # Both converged to the same fixed point within solver
-        # truncation of one another.
-        tol = 2 * SETTINGS.tolerance / (1.0 - SETTINGS.damping)
-        error = float(np.abs(warm.scores - cold.scores).sum())
-        assert error <= tol
+
+        region = forward_halo(updated, update_seeds(graph, updated, delta), 2)
+        stale = np.full(updated.num_nodes, 1.0 / updated.num_nodes)
+        stale[:n] = old_truth.scores
+        ranked = idealrank(updated, region, stale, SETTINGS, backend=backend)
+        expected = stale.copy()
+        expected[ranked.local_nodes] = ranked.scores
+        expected /= expected.sum()
+
+        assert np.array_equal(result.region, region)
+        assert result.iterations == ranked.iterations
+        assert result.backend == backend
+        assert result.scores.tobytes() == expected.tobytes()
 
     def test_staleness_charge_certifies_true_error(self):
         # The charge is a worst-case certificate: the spliced vector's
@@ -370,8 +388,7 @@ class TestWarmStartAndStaleness:
         )
         assert result.staleness_charge == 0.0
         assert result.delta_e_bound == 0.0
-        assert result.warm_start is False
-        assert result.iterations_saved == 0
+        assert result.iterations == 0
         assert result.backend == ""
 
     def test_float32_backend_widens_charge_and_is_recorded(self):
@@ -396,7 +413,7 @@ class TestWarmStartAndStaleness:
 
         graph, updated, delta, old_truth = self._setup(seed=31)
         registry = MetricsRegistry()
-        result = incremental_rerank(
+        incremental_rerank(
             graph, updated, old_truth.scores, delta=delta,
             settings=SETTINGS, registry=registry,
         )
@@ -404,8 +421,3 @@ class TestWarmStartAndStaleness:
         assert "repro_update_regions_reranked_total" in families
         reranked = families["repro_update_regions_reranked_total"]
         assert reranked["samples"][0]["value"] == 1
-        if result.iterations_saved:
-            saved = families["repro_update_iterations_saved_total"]
-            assert saved["samples"][0]["value"] == (
-                result.iterations_saved
-            )
