@@ -26,10 +26,14 @@ without densifying anything.  Dangling *external* pages contribute
 
 Complexity
 ----------
-Everything is O(local edges + boundary edges) given the global
-transition matrix; the global matrix itself is built once per graph
-(and shared across subgraphs by
-:class:`repro.core.precompute.ApproxRankPreprocessor`).
+Given the global transition matrix (built once per graph and shared
+across subgraphs through :mod:`repro.perf.cache`), a subgraph's local
+block comes from one gather that reads every out-edge of every local
+page, plus one length-N position array (about 0.03 ms at 50k pages).
+:func:`extended_transition_transpose` then writes the transpose in
+O(local edges + n).  The ApproxRank Λ row is O(n) from precomputed
+column sums; an arbitrary E (IdealRank, ablations) adds one mat-vec
+with the global matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from repro.pagerank.solver import (
     PowerIterationSettings,
     power_iteration,
 )
-from repro.pagerank.transition import csr_transpose
 
 
 @dataclass(frozen=True)
@@ -348,9 +351,7 @@ def build_extended_graph(
     #     zero rows here; their patched mass goes through P_ideal).
     transition, dangling_mask = cached_transition_matrix(graph)
     bundle = cached_local_block(graph, local)
-    local_block = bundle.local_block
     local_dangling = bundle.local_dangling
-    to_lambda = bundle.to_lambda
 
     # Bottom row: E-weighted average of the external pages' rows,
     # restricted to local columns.  (A^T w)[local] covers non-dangling
@@ -376,8 +377,8 @@ def build_extended_graph(
     lambda_self = 1.0 - float(lambda_row.sum())
     lambda_self = max(lambda_self, 0.0)
 
-    extended = _assemble_extended_matrix(
-        local_block, to_lambda, lambda_row, lambda_self
+    transition_ext_t = extended_transition_transpose(
+        bundle.local_block, bundle.to_lambda, lambda_row, lambda_self
     )
 
     dangling_ext = np.zeros(num_local + 1, dtype=bool)
@@ -385,7 +386,7 @@ def build_extended_graph(
 
     return ExtendedLocalGraph(
         local_nodes=local,
-        transition_ext_t=csr_transpose(extended),
+        transition_ext_t=transition_ext_t,
         dangling_mask_ext=dangling_ext,
         p_ideal=p_ext,
         num_global=num_global,
@@ -393,20 +394,67 @@ def build_extended_graph(
     )
 
 
-def _assemble_extended_matrix(
+def extended_transition_transpose(
     local_block: sparse.csr_matrix,
     to_lambda: np.ndarray,
     lambda_row: np.ndarray,
     lambda_self: float,
 ) -> sparse.csr_matrix:
-    """Stack the four blocks of §III-B into one (n+1)×(n+1) CSR matrix."""
+    """Write ``A_ext^T`` of §III-B straight into CSR arrays.
+
+    ``A_ext`` stacks the local block, the Λ column ``to_lambda``, the
+    Λ row ``lambda_row`` and the Λ → Λ self-loop.  Its entries are
+    listed in that order (the block in its stored row order) and
+    stably sorted by column, so row c of the transpose holds the
+    block's column c in ascending local row, then the Λ-row entry; the
+    last row is the Λ column followed by the self-loop.  That is array
+    for array what stacking the four blocks with scipy and transposing
+    through CSC gives.  Zero Λ entries are left out, as a dense-to-CSR
+    conversion drops them.
+    """
     num_local = local_block.shape[0]
-    column = sparse.csr_matrix(to_lambda.reshape(num_local, 1))
-    bottom = sparse.csr_matrix(
-        np.concatenate([lambda_row, [lambda_self]]).reshape(1, num_local + 1)
+    size = num_local + 1
+    into_lambda = np.flatnonzero(to_lambda)
+    from_lambda = np.flatnonzero(lambda_row)
+    self_loop = np.array(
+        [num_local] if lambda_self != 0 else [], dtype=np.intp
     )
-    top = sparse.hstack([local_block, column], format="csr")
-    return sparse.vstack([top, bottom], format="csr")
+    block_rows = np.repeat(
+        np.arange(num_local), np.diff(local_block.indptr)
+    )
+    rows = np.concatenate([
+        block_rows,
+        into_lambda,
+        np.full(from_lambda.size, num_local),
+        self_loop,
+    ])
+    columns = np.concatenate([
+        local_block.indices,
+        np.full(into_lambda.size, num_local),
+        from_lambda,
+        self_loop,
+    ])
+    data = np.concatenate([
+        local_block.data,
+        to_lambda[into_lambda],
+        lambda_row[from_lambda],
+        np.full(self_loop.size, lambda_self),
+    ])
+    index_dtype = (
+        np.int32 if max(size, data.size) < np.iinfo(np.int32).max
+        else np.int64
+    )
+    # numpy's stable sort of 16-bit keys is a radix (counting) sort,
+    # linear in the entry count; wider keys fall back to timsort.
+    keys = columns.astype(np.uint16 if size <= 1 << 16 else index_dtype)
+    order = np.argsort(keys, kind="stable")
+    indptr = np.zeros(size + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(columns, minlength=size), out=indptr[1:])
+    return sparse.csr_matrix(
+        (data[order], rows[order].astype(index_dtype), indptr),
+        shape=(size, size),
+        copy=False,
+    )
 
 
 def solve_to_subgraph_scores(

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.extended import (
     ExtendedLocalGraph,
-    _assemble_extended_matrix,
+    extended_transition_transpose,
     p_ideal_vector,
     solve_to_subgraph_scores,
 )
@@ -37,7 +37,6 @@ from repro.graph.digraph import CSRGraph
 from repro.graph.subgraph import normalize_node_set
 from repro.pagerank.result import SubgraphScores
 from repro.pagerank.solver import PowerIterationSettings
-from repro.pagerank.transition import csr_transpose
 from repro.perf.cache import cached_local_block, cached_transition_matrix
 
 
@@ -92,9 +91,7 @@ class ApproxRankPreprocessor:
         # re-ranking the same subgraph (or ranking it under several E
         # estimates elsewhere) never re-slices the global matrix.
         bundle = cached_local_block(self._graph, local)
-        local_block = bundle.local_block
         local_dangling = bundle.local_dangling
-        to_lambda = bundle.to_lambda
 
         # E_approx is uniform 1/(N-n); the Λ-row entry for local page k
         # is the average inbound probability from external pages:
@@ -110,14 +107,14 @@ class ApproxRankPreprocessor:
         ) / num_external
         lambda_self = max(1.0 - float(lambda_row.sum()), 0.0)
 
-        extended = _assemble_extended_matrix(
-            local_block, to_lambda, lambda_row, lambda_self
+        transition_ext_t = extended_transition_transpose(
+            bundle.local_block, bundle.to_lambda, lambda_row, lambda_self
         )
         dangling_ext = np.zeros(num_local + 1, dtype=bool)
         dangling_ext[:num_local] = local_dangling
         return ExtendedLocalGraph(
             local_nodes=local,
-            transition_ext_t=csr_transpose(extended),
+            transition_ext_t=transition_ext_t,
             dangling_mask_ext=dangling_ext,
             p_ideal=p_ideal_vector(num_global, num_local),
             num_global=num_global,

@@ -197,8 +197,11 @@ def power_iteration(
         )
     if size == 0:
         raise ValueError("cannot rank an empty graph")
+    # Callers often pass one array as both vectors (an extended-graph
+    # solve redistributes dangling mass through P_ideal); check it once.
+    shared = dangling_dist is None or dangling_dist is teleport
     teleport = _validate_distribution("teleport", teleport, size)
-    if dangling_dist is None:
+    if shared:
         dangling_dist = teleport
     else:
         dangling_dist = _validate_distribution(

@@ -85,6 +85,37 @@ class LocalBlockBundle:
     block_colsum: np.ndarray
 
 
+def gather_local_block(
+    matrix: sparse.csr_matrix, local_nodes: np.ndarray
+) -> sparse.csr_matrix:
+    """``matrix[local_nodes][:, local_nodes]`` from one gather of its rows.
+
+    Reads every stored entry of the local rows once and maps its column
+    to a local position through a length-N position array (-1 off the
+    subgraph).  Kept entries stay in the row's stored order, so the
+    result is array for array what scipy's two fancy indexings give.
+    ``local_nodes`` must be sorted and unique.
+    """
+    num_local = local_nodes.size
+    position = np.full(matrix.shape[1], -1, dtype=matrix.indices.dtype)
+    position[local_nodes] = np.arange(num_local)
+    starts = matrix.indptr[local_nodes]
+    lengths = matrix.indptr[local_nodes + 1] - starts
+    ends = np.cumsum(lengths)
+    total = int(ends[-1])
+    # Flat positions of every out-edge of every local page, row by row.
+    offsets = np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+    columns = position[matrix.indices[offsets]]
+    kept = np.flatnonzero(columns >= 0)
+    indptr = np.zeros(num_local + 1, dtype=matrix.indptr.dtype)
+    indptr[1:] = np.searchsorted(kept, ends)
+    return sparse.csr_matrix(
+        (matrix.data[offsets[kept]], columns[kept], indptr),
+        shape=(num_local, num_local),
+        copy=False,
+    )
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """Hit/miss accounting for one :class:`TransitionCache`."""
@@ -239,13 +270,23 @@ class TransitionCache:
                 return bundle
             self._misses += 1
         transition, dangling_mask = self.transition(graph)
-        local_block = transition[local_nodes][:, local_nodes].tocsr()
-        row_sums = np.asarray(local_block.sum(axis=1)).ravel()
+        local_block = gather_local_block(transition, local_nodes)
+        num_local = local_nodes.size
+        # Both sums add in scipy's order, so they are bit for bit
+        # ``local_block.sum(axis=1)`` and ``.sum(axis=0)``: one
+        # reduceat per non-empty row, and column sums accumulated in
+        # row order.
+        indptr = local_block.indptr
+        row_sums = np.zeros(num_local, dtype=np.float64)
+        filled = np.flatnonzero(np.diff(indptr))
+        row_sums[filled] = np.add.reduceat(local_block.data, indptr[filled])
         local_dangling = dangling_mask[local_nodes]
         to_lambda = np.where(local_dangling, 0.0, 1.0 - row_sums)
         # Guard against -1e-17 style float residue.
         np.clip(to_lambda, 0.0, 1.0, out=to_lambda)
-        block_colsum = np.asarray(local_block.sum(axis=0)).ravel()
+        block_colsum = np.bincount(
+            local_block.indices, weights=local_block.data, minlength=num_local
+        )
         for array in (row_sums, local_dangling, to_lambda, block_colsum):
             array.setflags(write=False)
         bundle = LocalBlockBundle(

@@ -206,21 +206,18 @@ def paired(
     first: Callable[[], Any],
     second: Callable[[], Any],
     reps: int = 1,
-    start: int = 0,
 ) -> tuple[tuple[float, Any], tuple[float, Any]]:
     """Time two arms ``reps`` times, alternating which runs first.
 
-    Repetition ``r`` runs ``first`` first when ``start + r`` is even
-    and ``second`` first otherwise, so caches warmed by one arm favour
-    each side equally often.  Callers that pair one call per step pass
-    the step index as ``start``.  Returns ``(best, last result)`` per
-    arm.
+    Repetition ``r`` runs ``first`` first when ``r`` is even and
+    ``second`` first otherwise, so caches warmed by one arm favour
+    each side equally often.  Returns ``(best, last result)`` per arm.
     """
     arms = (first, second)
     best = [float("inf"), float("inf")]
     results: list[Any] = [None, None]
     for rep in range(reps):
-        order = (0, 1) if (start + rep) % 2 == 0 else (1, 0)
+        order = (0, 1) if rep % 2 == 0 else (1, 0)
         for index in order:
             seconds, results[index] = timed(arms[index])
             best[index] = min(best[index], seconds)

@@ -137,6 +137,47 @@ class TestValidation:
                 two_node_transition_t(), teleport=np.array([-0.5, 1.5])
             )
 
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            (np.array([0.5, 0.6]), "dangling_dist must sum to 1, sums to"),
+            (np.array([-0.5, 1.5]), "dangling_dist must be non-negative"),
+            (
+                np.array([np.nan, 1.0]),
+                "dangling_dist must contain only finite values; entry 0",
+            ),
+            (np.ones(3) / 3, r"dangling_dist must have shape \(2,\)"),
+        ],
+    )
+    def test_rejects_distinct_bad_dangling_dist(self, dist, message):
+        with pytest.raises(ValueError, match=message):
+            power_iteration(
+                two_node_transition_t(),
+                teleport=uniform_teleport(2),
+                dangling_mask=np.array([False, True]),
+                dangling_dist=dist,
+            )
+
+    def test_shared_teleport_is_validated_once(self, monkeypatch):
+        from repro.pagerank import solver
+
+        names = []
+        validate = solver._validate_distribution
+
+        def counting(name, vector, size):
+            names.append(name)
+            return validate(name, vector, size)
+
+        monkeypatch.setattr(solver, "_validate_distribution", counting)
+        teleport = uniform_teleport(2)
+        power_iteration(
+            two_node_transition_t(),
+            teleport=teleport,
+            dangling_mask=np.array([False, True]),
+            dangling_dist=teleport,
+        )
+        assert names == ["teleport"]
+
     def test_rejects_bad_dangling_mask_shape(self):
         with pytest.raises(ValueError, match="dangling_mask"):
             power_iteration(

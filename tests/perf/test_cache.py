@@ -80,6 +80,52 @@ class TestIdenticalObjectsForSameGraph:
         assert stats.hit_rate == pytest.approx(2 / 3)
 
 
+class TestBundleMatchesScipy:
+    """Each bundle field, bit for bit, against scipy's own slicing.
+
+    The mean degree of 20 gives rows of more than eight local entries,
+    where the order of a row sum's additions reaches its last bits.
+    """
+
+    @pytest.mark.parametrize(
+        "local",
+        [
+            np.arange(40, 160),
+            np.sort(np.random.default_rng(7).choice(300, 90, replace=False)),
+            np.array([123]),
+            np.arange(300, dtype=np.int64)[::3],
+        ],
+        ids=["range", "random", "single", "strided"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fields_equal_scipy_bytes(self, cache, local, seed):
+        graph = random_digraph(
+            300, mean_degree=20.0, dangling_fraction=0.2, seed=seed
+        )
+        local = local.astype(np.int64)
+        bundle = cache.local_block(graph, local)
+        transition, dangling_mask = transition_matrix(graph)
+        block = transition[local][:, local]
+        for name in ("indptr", "indices"):
+            actual, expected = (
+                getattr(bundle.local_block, name), getattr(block, name)
+            )
+            assert actual.dtype == expected.dtype
+            np.testing.assert_array_equal(actual, expected)
+        assert bundle.local_block.data.tobytes() == block.data.tobytes()
+        row_sums = np.asarray(block.sum(axis=1)).ravel()
+        assert bundle.row_sums.tobytes() == row_sums.tobytes()
+        colsum = np.asarray(block.sum(axis=0)).ravel()
+        assert bundle.block_colsum.tobytes() == colsum.tobytes()
+        np.testing.assert_array_equal(
+            bundle.local_dangling, dangling_mask[local]
+        )
+        to_lambda = np.clip(
+            np.where(dangling_mask[local], 0.0, 1.0 - row_sums), 0.0, 1.0
+        )
+        assert bundle.to_lambda.tobytes() == to_lambda.tobytes()
+
+
 class TestNoCrossGraphLeaks:
     def test_distinct_graphs_distinct_matrices(self, cache):
         graphs = [random_digraph(60, seed=s) for s in range(5)]

@@ -75,18 +75,6 @@ class TestTiming:
         assert order == ["a", "b", "b", "a", "a", "b", "b", "a"]
         assert (a, b) == ("A", "B")
 
-    def test_paired_start_offsets_the_alternation(self):
-        orders = []
-        for step in range(3):
-            order = []
-            paired(
-                lambda: order.append("warm"),
-                lambda: order.append("cold"),
-                start=step,
-            )
-            orders.append(order[0])
-        assert orders == ["warm", "cold", "warm"]
-
 
 class TestClosedLoop:
     def test_every_slot_answered_once(self):
