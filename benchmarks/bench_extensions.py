@@ -2,8 +2,6 @@
 
 * Supplementary experiment regenerations (aggregation baseline sweep,
   P2P convergence).
-* Solver-acceleration ablation: plain vs extrapolated vs adaptive power
-  iteration on the same global solve (§II-B variants).
 * Incremental-update path vs full recompute (§I update scenario).
 """
 
@@ -13,13 +11,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import extras, p2p_convergence
-from repro.pagerank.accelerated import (
-    power_iteration_adaptive,
-    power_iteration_extrapolated,
-)
 from repro.pagerank.globalrank import global_pagerank
-from repro.pagerank.solver import power_iteration, uniform_teleport
-from repro.pagerank.transition import transition_matrix_transpose
 from repro.subgraphs.domain import domain_subgraph
 from repro.updates.delta import apply_delta, random_region_delta
 from repro.updates.rerank import incremental_rerank
@@ -47,64 +39,6 @@ class TestSupplementaryRegeneration:
         print(result.render())
         l1 = result.column("mean L1")
         assert l1[-1] < l1[0]
-
-
-class TestSolverAblation:
-    """Same fixed point, three solvers, one comparison table."""
-
-    @pytest.fixture(scope="class")
-    def solve_inputs(self, au):
-        transition_t, dangling = transition_matrix_transpose(au.graph)
-        teleport = uniform_teleport(au.graph.num_nodes)
-        return transition_t, teleport, dangling
-
-    def test_plain_power_iteration(
-        self, benchmark, solve_inputs, bench_context
-    ):
-        transition_t, teleport, dangling = solve_inputs
-        outcome = benchmark.pedantic(
-            lambda: power_iteration(
-                transition_t, teleport, dangling,
-                settings=bench_context.settings,
-            ),
-            rounds=3, iterations=1,
-        )
-        assert outcome.converged
-
-    def test_extrapolated(self, benchmark, solve_inputs, bench_context):
-        transition_t, teleport, dangling = solve_inputs
-        outcome = benchmark.pedantic(
-            lambda: power_iteration_extrapolated(
-                transition_t, teleport, dangling,
-                settings=bench_context.settings,
-            ),
-            rounds=3, iterations=1,
-        )
-        assert outcome.converged
-
-    def test_adaptive(self, benchmark, solve_inputs, bench_context):
-        transition_t, teleport, dangling = solve_inputs
-        outcome = benchmark.pedantic(
-            lambda: power_iteration_adaptive(
-                transition_t, teleport, dangling,
-                settings=bench_context.settings,
-            ),
-            rounds=3, iterations=1,
-        )
-        assert outcome.converged
-
-    def test_linear_system(self, benchmark, solve_inputs, bench_context):
-        from repro.pagerank.linear import solve_linear_system
-
-        transition_t, teleport, dangling = solve_inputs
-        outcome = benchmark.pedantic(
-            lambda: solve_linear_system(
-                transition_t, teleport, dangling,
-                settings=bench_context.settings,
-            ),
-            rounds=3, iterations=1,
-        )
-        assert outcome.converged
 
 
 class TestIncrementalUpdate:

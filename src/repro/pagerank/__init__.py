@@ -8,20 +8,17 @@ plus the generic solver the IdealRank/ApproxRank extended graphs reuse.
 
 Performance layer
 -----------------
-All solver variants run on allocation-free kernels (preallocated
-iterate/scratch buffers, in-place scipy ``_sparsetools`` mat-vecs)
-driven by :class:`~repro.pagerank.backends.SolverBackend`, whose one
-switch is a float32 score mode.  Workloads that solve many
-walks over one matrix — per-keyword ObjectRank, damping sweeps,
-multiple extended personalisations — go through the batched
-multi-vector solver of :mod:`repro.pagerank.batched`, and transition
-matrices themselves are memoized per graph by :mod:`repro.perf.cache`.
+There are two engines: :func:`power_iteration` for one walk and the
+batched multi-vector solver of :mod:`repro.pagerank.batched` for
+workloads that solve many walks over one matrix (per-keyword
+ObjectRank, damping sweeps, multiple extended personalisations).
+Both run on allocation-free kernels (preallocated iterate/scratch
+buffers, in-place scipy ``_sparsetools`` mat-vecs) driven by
+:class:`~repro.pagerank.backends.SolverBackend`, whose one switch is a
+float32 score mode.  Transition matrices themselves are memoized per
+graph by :mod:`repro.perf.cache`.
 """
 
-from repro.pagerank.accelerated import (
-    power_iteration_adaptive,
-    power_iteration_extrapolated,
-)
 from repro.pagerank.backends import (
     SolverBackend,
     backend_info,
@@ -33,14 +30,12 @@ from repro.pagerank.batched import (
     batched_power_iteration,
     stack_teleports,
 )
-from repro.pagerank.diagnostics import ResidualTrace, residual_trace
 from repro.pagerank.globalrank import global_pagerank
 from repro.pagerank.kernels import (
     PowerIterationWorkspace,
     csr_matmat_dense_into,
     csr_matvec_into,
 )
-from repro.pagerank.linear import solve_linear_system
 from repro.pagerank.localrank import local_pagerank
 from repro.pagerank.result import RankResult, SubgraphScores
 from repro.pagerank.solver import PowerIterationSettings, power_iteration
@@ -59,7 +54,6 @@ __all__ = [
     "BatchedOutcome",
     "PowerIterationSettings",
     "PowerIterationWorkspace",
-    "ResidualTrace",
     "RankResult",
     "SolverBackend",
     "SubgraphScores",
@@ -74,12 +68,8 @@ __all__ = [
     "local_pagerank",
     "perturbation_bound",
     "power_iteration",
-    "power_iteration_adaptive",
-    "power_iteration_extrapolated",
-    "residual_trace",
     "resolve_backend",
     "set_default_backend",
-    "solve_linear_system",
     "stack_teleports",
     "transition_matrix",
     "transition_matrix_transpose",

@@ -1,12 +1,12 @@
 """The solver behind every power iteration, and its float32 switch.
 
-Every power-iteration variant in this repo (plain, extrapolated,
-adaptive, batched) funnels through the same damped sweep.
+Both power-iteration engines (single-vector and batched) funnel
+through the same damped sweep.
 :class:`SolverBackend` runs it on the allocation-free scipy
 ``_sparsetools`` kernels of :mod:`repro.pagerank.kernels`: it prepares
 a transition matrix (dtype cast, optional cache-aware relabeling,
 zero-copy index sharing), then runs the fused kernel operations over
-it (damped step with residual, mat-vec, dense mat-mat).
+it (damped step with residual, dense mat-mat).
 
 Its one choice is the **score dtype**.  float64 (the default) keeps
 the caller's matrix and layout, so results are bit-identical to the
@@ -291,7 +291,7 @@ class SolverBackend:
         dangling_indices: np.ndarray,
         dangling_dist: np.ndarray,
         scratch: np.ndarray,
-        workspace=None,
+        workspace: kernels.PowerIterationWorkspace,
     ) -> float:
         """One fused damped step ``x → out``; returns the L1 residual.
 
@@ -309,12 +309,6 @@ class SolverBackend:
             workspace=workspace,
         )
         return kernels.l1_residual_into(out, x, scratch)
-
-    def matvec_into(
-        self, matrix: sparse.csr_matrix, x: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """``out[:] = matrix @ x`` without allocating the result."""
-        return kernels.csr_matvec_into(matrix, x, out)
 
     def matmat_into(
         self,

@@ -1,7 +1,7 @@
-"""Allocation-free solver kernels shared by every power-iteration variant.
+"""Allocation-free solver kernels shared by both power-iteration engines.
 
-The plain, extrapolated, adaptive and batched solvers all spend their
-time in the same damped step
+The single-vector and batched solvers both spend their time in the
+same damped step
 
     x_next = damping * (A^T x + m(x) * dangling_dist) + (1 - damping) * P
 
@@ -24,7 +24,8 @@ step as in-place kernels over preallocated buffers:
   buffer instead of two temporaries.
 
 Everything here is pure arithmetic: validation, convergence policy and
-result packaging stay in :mod:`repro.pagerank.solver` and friends.
+result packaging stay in :mod:`repro.pagerank.solver` and
+:mod:`repro.pagerank.batched`.
 
 The convergence loop :func:`run_power_loop` dispatches each sweep
 through a :class:`~repro.pagerank.backends.SolverBackend`, which runs
@@ -183,17 +184,14 @@ class PowerIterationWorkspace:
 def dangling_mass(
     x: np.ndarray,
     dangling_indices: np.ndarray,
-    workspace: PowerIterationWorkspace | None = None,
+    workspace: PowerIterationWorkspace,
 ) -> float:
     """Probability mass of ``x`` sitting on dangling pages.
 
-    With a workspace the gather happens into a reused buffer; without
-    one it falls back to fancy indexing (one small allocation).
+    The gather happens into the workspace's reused buffer.
     """
     if not dangling_indices.size:
         return 0.0
-    if workspace is None:
-        return float(x[dangling_indices].sum())
     gather = workspace.ensure_gather(dangling_indices.size)
     np.take(x, dangling_indices, out=gather[: dangling_indices.size])
     return float(gather[: dangling_indices.size].sum())
@@ -209,7 +207,7 @@ def damped_step_into(
     dangling_indices: np.ndarray,
     dangling_dist: np.ndarray,
     scratch: np.ndarray,
-    workspace: PowerIterationWorkspace | None = None,
+    workspace: PowerIterationWorkspace,
 ) -> None:
     """One damped power-iteration step, entirely in place.
 

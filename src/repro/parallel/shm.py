@@ -106,15 +106,6 @@ class SharedGraphHandle:
     num_nodes: int
     fields: tuple[_FieldSpec, ...]
 
-    @property
-    def metadata_keys(self) -> tuple[str, ...]:
-        """Names of the published per-node metadata arrays."""
-        return tuple(
-            f.name[len("meta_"):]
-            for f in self.fields
-            if f.name.startswith("meta_")
-        )
-
 
 def shared_memory_available() -> bool:
     """Whether POSIX shared memory actually works on this platform.

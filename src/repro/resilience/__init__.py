@@ -34,7 +34,6 @@ from repro.resilience.faults import (
     maybe_inject,
     parse_faults,
     serve_fault_fires,
-    serve_faults_armed,
     set_injector,
 )
 from repro.resilience.policy import (
@@ -62,6 +61,5 @@ __all__ = [
     "maybe_inject",
     "parse_faults",
     "serve_fault_fires",
-    "serve_faults_armed",
     "set_injector",
 ]

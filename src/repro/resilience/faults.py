@@ -354,11 +354,6 @@ def mark_worker_process() -> None:
     _ACTIVE = _UNSET
 
 
-def in_worker_process() -> bool:
-    """Whether this process is a pool worker (faults are armed)."""
-    return _IN_WORKER
-
-
 def get_injector() -> FaultInjector | None:
     """The active injector, lazily built from ``REPRO_FAULTS``."""
     global _ACTIVE
@@ -421,11 +416,6 @@ def disarm_serve_faults() -> None:
     """Disarm serve-path faults (test teardown)."""
     global _SERVE_ARMED
     _SERVE_ARMED = False
-
-
-def serve_faults_armed() -> bool:
-    """Whether serve-path faults may fire in this process."""
-    return _SERVE_ARMED
 
 
 def serve_fault_fires(kind: str, site: str) -> FaultSpec | None:

@@ -495,19 +495,6 @@ class ScoreStore:
             self._set_size_gauge()
             return dropped
 
-    def invalidate_graph(self, graph: CSRGraph) -> int:
-        """Drop every entry belonging to ``graph``; returns the count."""
-        fingerprint = graph_fingerprint(graph)
-        with self._lock:
-            doomed = [
-                key for key in self._entries if key[0] == fingerprint
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self._count_eviction("invalidated", len(doomed))
-            self._set_size_gauge()
-            return len(doomed)
-
     def stats(self) -> dict:
         """Current size/limits (counters live in the registry)."""
         with self._lock:

@@ -112,12 +112,16 @@ class TestRuntimeTables:
         assert all(r > 1 for r in ratios)
 
     def test_table6_sc_grows_with_n(self, context):
-        result = table6.run(context)
-        assert len(result.rows) == 12
-        sc_seconds = result.column("SC (s)")
+        results = [table6.run(context) for __ in range(5)]
+        assert all(len(result.rows) == 12 for result in results)
+        # Per-row minimum over 5 runs: one run takes ~0.2 s at test
+        # scale, so host drift during it can swamp the size effect.
+        sc_seconds = np.min(
+            [result.column("SC (s)") for result in results], axis=0
+        )
         # Runtime grows with subgraph size; compare the mean over the
-        # 4 largest vs 4 smallest domains (single-run wall-clock is
-        # noisy at test scale, so no per-row monotonicity).
+        # 4 largest vs 4 smallest domains (wall-clock is noisy at test
+        # scale, so no per-row monotonicity).
         assert np.mean(sc_seconds[-4:]) > np.mean(sc_seconds[:4])
 
 

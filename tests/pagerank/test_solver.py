@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.core.extended import build_extended_graph
+from repro.core.external import uniform_external_weights
 from repro.exceptions import ConvergenceError
 from repro.pagerank.solver import (
     DEFAULT_DAMPING,
@@ -11,6 +13,8 @@ from repro.pagerank.solver import (
     power_iteration,
     uniform_teleport,
 )
+from repro.pagerank.transition import transition_matrix_transpose
+from tests.conftest import random_digraph
 
 
 def two_node_transition_t():
@@ -213,3 +217,70 @@ class TestDampingEffect:
 
     def test_default_damping_constant(self):
         assert DEFAULT_DAMPING == 0.85
+
+
+TIGHT = PowerIterationSettings(tolerance=1e-11, max_iterations=20_000)
+
+
+def dense_fixed_point(transition_t, teleport, dangling_mask, dangling_dist):
+    """The fixed point by a dense direct solve, independent of the loop.
+
+    Solves ``(I − εAᵀ − ε·v·dᵀ) x = (1 − ε) t`` with ``v`` the dangling
+    distribution and ``d`` the dangling indicator, normalised to sum 1.
+    """
+    damping = TIGHT.damping
+    size = transition_t.shape[0]
+    system = (
+        np.eye(size)
+        - damping * transition_t.toarray()
+        - damping * np.outer(dangling_dist, dangling_mask.astype(float))
+    )
+    scores = np.linalg.solve(system, (1.0 - damping) * teleport)
+    return scores / scores.sum()
+
+
+class TestDenseSolveOracle:
+    """``power_iteration`` lands on the same fixed point as a dense solve."""
+
+    @staticmethod
+    def assert_agree(transition_t, teleport, dangling, dangling_dist=None):
+        dist = teleport if dangling_dist is None else dangling_dist
+        power = power_iteration(
+            transition_t, teleport, dangling, dist, settings=TIGHT
+        )
+        assert power.converged
+        np.testing.assert_allclose(
+            power.scores,
+            dense_fixed_point(transition_t, teleport, dangling, dist),
+            atol=1e-8,
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_fixed_point(self, seed):
+        graph = random_digraph(250, seed=seed)
+        transition_t, dangling = transition_matrix_transpose(graph)
+        self.assert_agree(transition_t, uniform_teleport(250), dangling)
+
+    def test_heavy_dangling(self):
+        graph = random_digraph(150, dangling_fraction=0.5, seed=3)
+        transition_t, dangling = transition_matrix_transpose(graph)
+        self.assert_agree(transition_t, uniform_teleport(150), dangling)
+
+    def test_personalized_teleport(self):
+        graph = random_digraph(120, seed=4)
+        teleport = np.random.default_rng(5).random(120)
+        teleport /= teleport.sum()
+        transition_t, dangling = transition_matrix_transpose(graph)
+        self.assert_agree(transition_t, teleport, dangling)
+
+    def test_extended_graph(self):
+        graph = random_digraph(200, seed=6)
+        local = np.arange(60)
+        weights = uniform_external_weights(graph, local)
+        extended = build_extended_graph(graph, local, weights)
+        self.assert_agree(
+            extended.transition_ext_t,
+            extended.p_ideal,
+            extended.dangling_mask_ext,
+            extended.p_ideal,
+        )

@@ -65,8 +65,6 @@ class TestModuleDocstrings:
             "repro.subgraphs.topic",
             "repro.subgraphs.frontier",
             "repro.pagerank.solver",
-            "repro.pagerank.accelerated",
-            "repro.pagerank.linear",
             "repro.p2p.network",
             "repro.updates.rerank",
             "repro.search.engine",
