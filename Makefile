@@ -49,9 +49,14 @@ obs-smoke:
 
 # Serving smoke: the serve test suite (score store, micro-batching,
 # HTTP endpoints on an ephemeral port, graceful shutdown, the
-# bit-identical-to-offline pin).
+# bit-identical-to-offline pin, the byte-for-byte /rank body pins of
+# test_wire_bytes.py), then the search engine /search serves,
+# including its guard tests: TestEngineMatchesSetFilter against the
+# set-filter oracle, and TestServedSearchStaysLocal, which fails if
+# /search intersects whole posting lists again.
 serve-smoke:
 	$(PYTHON) -m pytest -q -m "serve and not tier2 and not chaos_serve" tests/serve
+	$(PYTHON) -m pytest -q tests/search
 
 # Sharded-cluster smoke: the tier-1 cluster suite (routing,
 # failover, degraded serving, cluster-wide updates, client retries).

@@ -147,13 +147,26 @@ class SubgraphScores:
             raise KeyError(f"page {global_id} is not in this subgraph")
         return float(self.scores[pos])
 
+    def ranked_order(self) -> np.ndarray:
+        """Positions into ``local_nodes``/``scores``, highest score first.
+
+        Ties are broken by ascending global id (deterministic output).
+        The arrays are immutable, so the sort runs once per instance
+        and every caller shares the one read-only result.
+        """
+        order = self.__dict__.get("_ranked_order")
+        if order is None:
+            order = np.lexsort((self.local_nodes, -self.scores))
+            order.setflags(write=False)
+            object.__setattr__(self, "_ranked_order", order)
+        return order
+
     def ranking(self) -> np.ndarray:
         """Global page ids ordered from highest to lowest score.
 
         Ties are broken by ascending global id (deterministic output).
         """
-        order = np.lexsort((self.local_nodes, -self.scores))
-        return self.local_nodes[order]
+        return self.local_nodes[self.ranked_order()]
 
     def top_k(self, k: int) -> np.ndarray:
         """Global ids of the ``k`` top-ranked local pages."""

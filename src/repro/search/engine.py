@@ -45,8 +45,6 @@ class SubgraphSearchEngine:
     ):
         self._scores = scores
         self._lexicon = lexicon
-        # Pre-sort once: queries then filter the ranked list.
-        self._ranked_pages = scores.ranking()
 
     @property
     def num_indexed(self) -> int:
@@ -64,25 +62,41 @@ class SubgraphSearchEngine:
         Pages outside the subgraph never appear (the engine only has
         local pages, exactly as in Figure 1); matching pages are
         ordered by the engine's ranking with deterministic ties.
+
+        Each term's sorted posting list is binary-searched once per
+        subgraph page, so a query costs O(n log P) per term for an
+        n-page subgraph: the cost follows the subgraph, and no posting
+        list is intersected or scanned whole.
         """
         if k < 1:
             raise SubgraphError(f"k must be >= 1, got {k}")
-        matching = self._lexicon.pages_matching(terms, mode)
-        if matching.size == 0:
-            return []
-        # ``matching`` is sorted, so one binary search per subgraph
-        # page tests membership: the cost follows the subgraph, not
-        # the posting list.
-        ranked = self._ranked_pages
-        slots = np.searchsorted(matching, ranked)
-        found = matching[np.minimum(slots, matching.size - 1)] == ranked
+        posting_lists = self._lexicon.query_postings(terms, mode)
+        local = self._scores.local_nodes
+        matched = None
+        for postings in posting_lists:
+            if postings.size:
+                slots = np.searchsorted(postings, local)
+                found = postings[np.minimum(slots, postings.size - 1)] == local
+            else:
+                found = np.zeros(local.size, dtype=bool)
+            if matched is None:
+                matched = found
+            elif mode == "all":
+                matched &= found
+            else:
+                matched |= found
+        # ``matched`` is over the sorted local pages; read it in rank
+        # order and take each hit's page and score at its position.
+        order = self._scores.ranked_order()
+        ranks = np.flatnonzero(matched[order])[:k]
+        positions = order[ranks]
         return [
-            SearchHit(
-                page=int(ranked[i]),
-                score=self._scores.score_of(int(ranked[i])),
-                rank=int(i) + 1,
+            SearchHit(page=page, score=score, rank=rank)
+            for page, score, rank in zip(
+                local[positions].tolist(),
+                self._scores.scores[positions].tolist(),
+                (ranks + 1).tolist(),
             )
-            for i in np.flatnonzero(found)[:k]
         ]
 
 

@@ -232,10 +232,23 @@ class SyntheticLexicon:
             )
         return self._postings.get(int(term), np.empty(0, dtype=np.int64))
 
+    def query_postings(self, terms, mode: str = "all") -> list[np.ndarray]:
+        """The posting list of every term of a validated query.
+
+        Raises :class:`DatasetError` for an empty query, a mode other
+        than ``"all"``/``"any"``, or a term outside the vocabulary.
+        """
+        term_list = list(terms)
+        if not term_list:
+            raise DatasetError("a query needs at least one term")
+        if mode not in ("all", "any"):
+            raise DatasetError(f"mode must be 'all' or 'any', got {mode!r}")
+        return [self.pages_with_term(t) for t in term_list]
+
     def pages_matching(
         self, terms, mode: str = "all"
     ) -> np.ndarray:
-        """Pages matching a multi-term query.
+        """Pages matching a multi-term query, over the whole corpus.
 
         Parameters
         ----------
@@ -245,12 +258,7 @@ class SyntheticLexicon:
             ``"all"`` (conjunctive, default) or ``"any"``
             (disjunctive).
         """
-        term_list = list(terms)
-        if not term_list:
-            raise DatasetError("a query needs at least one term")
-        if mode not in ("all", "any"):
-            raise DatasetError(f"mode must be 'all' or 'any', got {mode!r}")
-        posting_lists = [self.pages_with_term(t) for t in term_list]
+        posting_lists = self.query_postings(terms, mode)
         if mode == "all":
             result = posting_lists[0]
             for postings in posting_lists[1:]:

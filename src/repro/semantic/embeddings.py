@@ -153,7 +153,14 @@ class PageEmbeddings:
         yields the zero vector (callers treat it as matching
         nothing).
         """
-        term_array = np.unique(np.asarray(list(terms), dtype=np.int64))
+        term_list = list(terms)
+        try:
+            term_array = np.unique(np.asarray(term_list, dtype=np.int64))
+        except OverflowError:
+            raise DatasetError(
+                "query terms must lie in the vocabulary "
+                f"[0, {self.num_terms}), got {term_list}"
+            ) from None
         if term_array.size == 0:
             raise DatasetError("a query needs at least one term")
         if term_array.min() < 0 or term_array.max() >= self.num_terms:

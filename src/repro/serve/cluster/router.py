@@ -80,7 +80,7 @@ from repro.serve.server import (
     Route,
 )
 from repro.serve.store import ScoreStore, StoreHit, graph_fingerprint
-from repro.serve.wire import ranked_payload, scores_fields, scores_from_payload
+from repro.serve.wire import rank_body, scores_from_payload
 from repro.updates.delta import GraphDelta, apply_delta
 
 __all__ = ["ShardRouter", "ClusterHandle", "start_cluster"]
@@ -433,17 +433,17 @@ class ShardRouter(RankingServer):
             error=error,
         ).inc()
 
-    def _resolve_damping(self, damping) -> float:
+    def _resolve_damping(self, damping: float | None) -> float:
         if damping is None:
             return self._manager.settings.damping
-        return float(damping)
+        return damping
 
     async def _forward(self, route: Route, request: Request):
         path = request.path
         # /rank is the one route whose answers the router's store can
         # keep, and replay flagged degraded when a whole shard is dark.
         degradable = path == "/rank"
-        damping = self._resolve_damping(request.body.get("damping"))
+        damping = self._resolve_damping(request.damping())
         shard = self.ring.shard_for(route.placement(request))
         target = f"{path}?{request.query}" if request.query else path
         deadline = request.deadline
@@ -665,6 +665,7 @@ class ShardRouter(RankingServer):
             cache_hit=True,
             stale=hit.stale,
             staleness=hit.staleness,
+            entry=hit.entry,
         )
         accuracy = resolve_estimator(request.estimator)
         if accuracy is None:
@@ -687,10 +688,7 @@ class ShardRouter(RankingServer):
     ):
         """Last-known scores flagged ``degraded``, or an honest 503."""
         if outcome is not None:
-            payload = ranked_payload(
-                scores_fields(outcome.scores), outcome, self._fingerprint
-            )
-            payload["degraded"] = True
+            body = rank_body(outcome, self._fingerprint, degraded=True)
             self._count_outcome(path, "degraded")
             log.warning(
                 "shard %d unavailable; served last-known scores "
@@ -700,7 +698,7 @@ class ShardRouter(RankingServer):
                 outcome.staleness,
                 len(attempts),
             )
-            return 200, payload
+            return 200, body
         self._count_outcome(path, "unavailable")
         return 503, {
             "error": (

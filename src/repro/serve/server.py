@@ -44,7 +44,7 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -81,8 +81,13 @@ from repro.semantic.pipeline import (
     SemanticSelection,
 )
 from repro.serve.batching import BatchPolicy, RankBatcher
-from repro.serve.store import ScoreStore, graph_fingerprint, subgraph_digest
-from repro.serve.wire import read_message, ranked_payload, scores_fields
+from repro.serve.store import (
+    ScoreStore,
+    StoreEntry,
+    graph_fingerprint,
+    subgraph_digest,
+)
+from repro.serve.wire import rank_body, ranked_payload, read_message
 from repro.updates.delta import GraphDelta, apply_delta
 
 __all__ = [
@@ -109,6 +114,9 @@ class RankOutcome:
     An accuracy request (``estimator="push:r_max=x"``) sets
     ``estimator`` to ``"push"`` and ``error_bound`` to the certified
     L1 bound of the served scores; the cached scores are untouched.
+
+    ``entry`` is the store entry the scores were served from (the one
+    a miss put), which holds the encoded ``/rank`` fragment.
     """
 
     scores: SubgraphScores
@@ -117,6 +125,9 @@ class RankOutcome:
     staleness: float = 0.0
     estimator: str = "exact"
     error_bound: float = 0.0
+    entry: StoreEntry | None = field(
+        default=None, repr=False, compare=False
+    )
 
 log = logging.getLogger(__name__)
 
@@ -432,6 +443,7 @@ class RankingService:
                 cache_hit=True,
                 stale=hit.stale,
                 staleness=hit.staleness,
+                entry=hit.entry,
             )
             if request is None:
                 return outcome
@@ -443,8 +455,10 @@ class RankingService:
         scores = await self.batcher.submit(
             (state.fingerprint, digest), local, epsilon, deadline_seconds
         )
-        self.store.put(state.graph, local, epsilon, scores, digest=digest)
-        outcome = RankOutcome(scores=scores, cache_hit=False)
+        entry = self.store.put(
+            state.graph, local, epsilon, scores, digest=digest
+        )
+        outcome = RankOutcome(scores=scores, cache_hit=False, entry=entry)
         if request is None:
             return outcome
         return self._certified(
@@ -677,6 +691,19 @@ class RankingService:
 # ----------------------------------------------------------------------
 
 
+def _optional_number(body: dict, name: str) -> float | None:
+    """Body field ``name`` as a float; ``None`` when absent.
+
+    Anything but a JSON number is a :class:`ValueError` (a 400).
+    """
+    value = body.get(name)
+    if value is None:
+        return None
+    if type(value) not in (int, float):
+        raise ValueError(f"'{name}' must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Request:
     """One HTTP request as a route handler sees it.
@@ -685,6 +712,9 @@ class Request:
     router forwards those verbatim); ``query`` is the raw query
     string, passed through dispatch so a forwarding hop can put it
     back on the target.
+
+    The field readers reject a value of the wrong JSON type with a
+    400-class error instead of coercing it.
     """
 
     path: str
@@ -692,6 +722,9 @@ class Request:
     headers: dict[str, str]
     raw_body: bytes
     body: dict
+    _nodes: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def estimator(self) -> str | None:
@@ -716,7 +749,7 @@ class Request:
         that cannot finish inside the *end-to-end* budget is then
         dropped by the batcher without spending solver time.
         """
-        body_deadline = self.body.get("deadline_seconds")
+        body_deadline = _optional_number(self.body, "deadline_seconds")
         header_value = self.headers.get(DEADLINE_HEADER.lower())
         header_deadline: float | None = None
         if header_value is not None:
@@ -730,16 +763,59 @@ class Request:
         if body_deadline is None:
             return header_deadline
         if header_deadline is None:
-            return float(body_deadline)
-        return min(float(body_deadline), header_deadline)
+            return body_deadline
+        return min(body_deadline, header_deadline)
 
-    def nodes(self) -> list[int]:
+    def damping(self) -> float | None:
+        """The body's ``damping``; ``None`` means the server default."""
+        return _optional_number(self.body, "damping")
+
+    def k(self) -> int:
+        """The body's answer count ``k`` (10 when absent)."""
+        k = self.body.get("k", 10)
+        if type(k) is not int:
+            raise ValueError(f"'k' must be an integer, got {k!r}")
+        return k
+
+    def nodes(self) -> np.ndarray:
+        """The body's ``nodes`` as a read-only int64 array.
+
+        Built by one ``np.asarray`` call on first use and kept, so the
+        router's placement key and the handler share it.  Anything but
+        a non-empty flat list of JSON integers is a
+        :class:`SubgraphError`: floats, strings, booleans, nulls,
+        nested lists and ids beyond int64 are rejected, not coerced.
+        """
+        if self._nodes is not None:
+            return self._nodes
         nodes = self.body.get("nodes")
         if not isinstance(nodes, list) or not nodes:
             raise SubgraphError(
                 "'nodes' must be a non-empty list of page ids"
             )
-        return [int(node) for node in nodes]
+        try:
+            array = np.asarray(nodes)
+        except ValueError:  # ragged nesting
+            array = None
+        # JSON integers alone infer a signed integer dtype; a float,
+        # string, null, object or out-of-range id infers another, and
+        # nesting adds a dimension.  A boolean among integers infers
+        # int64 too, so it is looked for element by element, but only
+        # when the body spells a boolean at all.
+        if (
+            array is None
+            or array.ndim != 1
+            or array.dtype.kind != "i"
+            or (
+                (b"true" in self.raw_body or b"false" in self.raw_body)
+                and any(type(node) is bool for node in nodes)
+            )
+        ):
+            raise SubgraphError("'nodes' must hold integer page ids")
+        array = array.astype(np.int64, copy=False)
+        array.setflags(write=False)
+        object.__setattr__(self, "_nodes", array)
+        return array
 
     def terms(self) -> list[int]:
         terms = self.body.get("terms")
@@ -747,7 +823,9 @@ class Request:
             raise DatasetError(
                 "'terms' must be a non-empty list of term ids"
             )
-        return [int(term) for term in terms]
+        if not all(type(term) is int for term in terms):
+            raise DatasetError("'terms' must hold integer term ids")
+        return list(terms)
 
 
 def _parse_json(body: bytes) -> dict:
@@ -1054,20 +1132,20 @@ class RankingServer:
     async def _rank(self, request: Request):
         outcome = await self.service.rank_with_meta(
             request.nodes(),
-            damping=request.body.get("damping"),
+            damping=request.damping(),
             deadline_seconds=request.deadline,
             estimator=request.estimator,
         )
-        return self._ranked(scores_fields(outcome.scores), outcome)
+        return 200, rank_body(outcome, self.service.fingerprint[:16])
 
     async def _search(self, request: Request):
         terms = request.terms()
         hits, outcome = await self.service.search(
             request.nodes(),
             terms=terms,
-            k=int(request.body.get("k", 10)),
+            k=request.k(),
             mode=str(request.body.get("mode", "all")),
-            damping=request.body.get("damping"),
+            damping=request.damping(),
             deadline_seconds=request.deadline,
             estimator=request.estimator,
         )
@@ -1081,9 +1159,9 @@ class RankingServer:
     async def _semantic_search(self, request: Request):
         answer, outcome = await self.service.semantic_search(
             terms=request.terms(),
-            k=int(request.body.get("k", 10)),
+            k=request.k(),
             estimator=request.estimator,
-            damping=request.body.get("damping"),
+            damping=request.damping(),
             deadline_seconds=request.deadline,
         )
         # The answer's own certificate fields are present on the exact
@@ -1144,7 +1222,11 @@ class RankingServer:
             405: "Method Not Allowed", 500: "Internal Server Error",
             503: "Service Unavailable",
         }
-        if isinstance(payload, str):
+        if isinstance(payload, bytes):
+            # A body the wire codec already encoded (see rank_body).
+            headers = dict(_JSON)
+            body = payload
+        elif isinstance(payload, str):
             headers = dict(_TEXT)
             body = payload.encode("utf-8")
         else:

@@ -51,7 +51,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -67,6 +67,7 @@ from repro.updates.delta import GraphDelta
 __all__ = [
     "DEFAULT_STALENESS_BUDGET",
     "ScoreStore",
+    "StoreEntry",
     "StoreHit",
     "StoreUpdateReport",
     "graph_fingerprint",
@@ -197,7 +198,16 @@ def _check_certificate(scores: SubgraphScores, staleness: float) -> None:
 
 
 @dataclass
-class _Entry:
+class StoreEntry:
+    """One resident entry.
+
+    ``fragment`` is the entry's encoded ``/rank`` answer fields
+    (:func:`repro.serve.wire.rank_body` builds it on the first answer
+    that reads the entry).  It lives and dies with the entry: an
+    update's re-keying keeps it, because the scores do not change,
+    while a put always starts a new entry without one.
+    """
+
     scores: SubgraphScores
     fingerprint: str
     digest: str
@@ -205,6 +215,7 @@ class _Entry:
     inserted_at: float
     stale: bool = False
     staleness: float = 0.0
+    fragment: bytes | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -220,6 +231,10 @@ class StoreHit:
     scores: SubgraphScores
     stale: bool = False
     staleness: float = 0.0
+    #: The entry served, which holds its encoded ``/rank`` fragment.
+    entry: StoreEntry | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -305,7 +320,7 @@ class ScoreStore:
         self._registry = registry if registry is not None else REGISTRY
         self._budget = float(staleness_budget)
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[tuple[str, str, str], _Entry]" = (
+        self._entries: "OrderedDict[tuple[str, str, str], StoreEntry]" = (
             OrderedDict()
         )
 
@@ -444,6 +459,7 @@ class ScoreStore:
                 scores=entry.scores,
                 stale=entry.stale,
                 staleness=entry.staleness,
+                entry=entry,
             )
 
     def put(
@@ -455,7 +471,7 @@ class ScoreStore:
         stale: bool = False,
         staleness: float = 0.0,
         digest: str | None = None,
-    ) -> None:
+    ) -> StoreEntry:
         """Insert (or refresh) an entry, evicting LRU beyond capacity.
 
         A default put inserts a fresh, charge-free entry: the caller
@@ -464,27 +480,30 @@ class ScoreStore:
         flagged entry with its cumulative charge: a persisted one
         :meth:`warm_load` reads back, or a stale shard answer the
         cluster router keeps for degraded reads.  ``digest`` is as in
-        :meth:`lookup`.  Raises :class:`ValueError` when the entry
-        fails a certificate check (see module docs).
+        :meth:`lookup`.  Returns the new entry.  Raises
+        :class:`ValueError` when the entry fails a certificate check
+        (see module docs).
         """
         _check_certificate(scores, staleness)
         fingerprint = graph_fingerprint(graph)
         key = self._key(fingerprint, local_nodes, damping, digest)
+        entry = StoreEntry(
+            scores=scores,
+            fingerprint=fingerprint,
+            digest=key[1],
+            damping=float(damping),
+            inserted_at=self._clock(),
+            stale=bool(stale),
+            staleness=float(staleness),
+        )
         with self._lock:
-            self._entries[key] = _Entry(
-                scores=scores,
-                fingerprint=fingerprint,
-                digest=key[1],
-                damping=float(damping),
-                inserted_at=self._clock(),
-                stale=bool(stale),
-                staleness=float(staleness),
-            )
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
                 self._count_eviction("capacity")
             self._set_size_gauge()
+        return entry
 
     def clear(self) -> int:
         """Drop every entry; returns how many were dropped."""
@@ -596,11 +615,9 @@ class ScoreStore:
                     self._count_eviction("staleness")
                     work_list.append((nodes, damping))
                     continue
-                self._entries[(new_fp, key[1], key[2])] = _Entry(
-                    scores=entry.scores,
+                self._entries[(new_fp, key[1], key[2])] = replace(
+                    entry,
                     fingerprint=new_fp,
-                    digest=key[1],
-                    damping=damping,
                     inserted_at=self._clock(),
                     stale=True,
                     staleness=staleness,

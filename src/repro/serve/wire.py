@@ -6,18 +6,28 @@ reads responses, through :func:`read_message`, so a malformed head is
 rejected the same way on either side of a hop.
 
 Every ranked answer (``/rank``, ``/search``, ``/semantic-search``) is
-its route's own fields plus the serving-contract fields, assembled
-once by :func:`ranked_payload`; :func:`scores_from_payload` is the one
-way back from a ``/rank`` payload to a
+its route's own fields plus the serving-contract fields, laid out by
+:func:`ranked_payload`; :func:`scores_from_payload` is the one way back
+from a ``/rank`` payload to a
 :class:`~repro.pagerank.result.SubgraphScores`.  Scores cross as JSON
 floats: Python emits shortest-round-trip ``repr`` literals and parses
 them back to the identical IEEE-754 double, so bit-identity survives
 the wire.
+
+A ``/rank`` answer is written by :func:`rank_body`, the one owner of
+its byte layout.  The bulky part, the nodes and scores through
+``lambda_score``, does not change while an entry stays in the
+:class:`~repro.serve.store.ScoreStore`, so it is encoded once per
+entry, by the first answer that reads it, and kept on the entry; each
+answer splices its own contract fields after it.  The body is
+byte-identical to ``json.dumps(payload) + "\\n"`` of the whole payload.
+``/search`` and ``/semantic-search`` answers never encode a fragment.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,6 +42,7 @@ __all__ = [
     "read_message",
     "scores_fields",
     "ranked_payload",
+    "rank_body",
     "scores_from_payload",
 ]
 
@@ -115,6 +126,40 @@ def ranked_payload(
         fields["error_bound"] = outcome.error_bound
     fields["graph_fingerprint"] = fingerprint
     return fields
+
+
+def _scores_fragment(scores: SubgraphScores) -> bytes:
+    """:func:`scores_fields` as JSON without the closing brace."""
+    return json.dumps(scores_fields(scores))[:-1].encode("utf-8")
+
+
+def rank_body(
+    outcome: "RankOutcome", fingerprint: str, degraded: bool = False
+) -> bytes:
+    """The ``/rank`` response body of ``outcome``, newline-terminated.
+
+    Byte-identical to ``json.dumps(payload) + "\\n"`` of
+    ``ranked_payload(scores_fields(outcome.scores), outcome,
+    fingerprint)`` (plus ``"degraded": true`` for the router's
+    last-known answer).  The scores' fragment is read from the store
+    entry the outcome was served from, and built there on first use;
+    an outcome without an entry encodes its own.
+    """
+    entry = outcome.entry
+    if entry is None:
+        fragment = _scores_fragment(outcome.scores)
+    else:
+        if entry.fragment is None:
+            entry.fragment = _scores_fragment(entry.scores)
+        fragment = entry.fragment
+    contract = ranked_payload({}, outcome, fingerprint)
+    if degraded:
+        contract["degraded"] = True
+    # Both halves are JSON objects: drop the contract's opening brace
+    # and join them with the separator json.dumps itself writes.
+    return b"".join((
+        fragment, b", ", json.dumps(contract)[1:].encode("utf-8"), b"\n"
+    ))
 
 
 def scores_from_payload(payload: dict) -> SubgraphScores:

@@ -1,11 +1,14 @@
 """Tests for the query-answering layer."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.approxrank import approxrank
 from repro.exceptions import DatasetError, MetricError, SubgraphError
-from repro.generators.datasets import make_tiny_web
+from repro.generators.datasets import make_au_like, make_tiny_web
+from repro.obs.metrics import MetricsRegistry
 from repro.pagerank.globalrank import global_pagerank
 from repro.pagerank.solver import PowerIterationSettings
 from repro.search.engine import (
@@ -16,6 +19,9 @@ from repro.search.engine import (
     reference_engine_scores,
 )
 from repro.search.lexicon import SyntheticLexicon
+from repro.serve.client import RankingClient
+from repro.serve.server import RankingService, start_background_server
+from repro.subgraphs.bfs import bfs_subgraph
 
 SETTINGS = PowerIterationSettings(tolerance=1e-8)
 
@@ -40,6 +46,27 @@ def lexicon(web):
 def domain_scores(web):
     nodes = web.pages_with_label("domain", "site0.example")
     return approxrank(web.graph, nodes, SETTINGS)
+
+
+@pytest.fixture(scope="module")
+def au_crawl():
+    """A BFS crawl of an AU-like web, ranked, with its served lexicon."""
+    graph = make_au_like(num_pages=5_000, seed=2009).graph
+    nodes = bfs_subgraph(graph, 17, 0.03)
+    return SyntheticLexicon(graph), approxrank(graph, nodes, SETTINGS)
+
+
+@pytest.fixture(scope="module")
+def served_search(web, lexicon):
+    """A server over ``web`` whose ``/search`` uses ``lexicon``, and the
+    pages of ``domain_scores``'s subgraph."""
+    service = RankingService(
+        web.graph, settings=SETTINGS, lexicon=lexicon,
+        registry=MetricsRegistry(),
+    )
+    nodes = web.pages_with_label("domain", "site0.example").tolist()
+    with start_background_server(service) as handle:
+        yield RankingClient(*handle.address), nodes
 
 
 class TestLexicon:
@@ -342,6 +369,99 @@ class TestEngineMatchesSetFilter:
     def test_num_indexed_counts_local_pages(self, lexicon, domain_scores):
         engine = SubgraphSearchEngine(domain_scores, lexicon)
         assert engine.num_indexed == domain_scores.local_nodes.size
+
+    @pytest.mark.parametrize("mode", ["all", "any"])
+    def test_rank_hot_queries(self, au_crawl, mode):
+        """The served search workload's query family: one or two of
+        the 20 most popular terms over a BFS crawl of an AU-like web,
+        plus a term with postings only outside the subgraph."""
+        lexicon, scores = au_crawl
+        engine = SubgraphSearchEngine(scores, lexicon)
+        popular = lexicon.popular_terms(20).tolist()
+        outside = next(
+            t for t in range(lexicon.num_terms)
+            if lexicon.pages_with_term(t).size
+            and not np.isin(
+                lexicon.pages_with_term(t), scores.local_nodes
+            ).any()
+        )
+        queries = [[term] for term in popular] + [[outside]]
+        queries += [
+            [first, second]
+            for i, first in enumerate(popular)
+            for second in popular[i + 1:]
+        ]
+        queries += [[popular[0], outside], [outside, popular[5]]]
+        for terms in queries:
+            for k in (10, engine.num_indexed + 1):
+                assert engine.search(terms, k, mode) == set_filter_search(
+                    scores, lexicon, terms, k, mode
+                ), (terms, k)
+
+
+class TestQueryValidation:
+    """An empty query, an unknown mode and an out-of-vocabulary term
+    are each a :class:`DatasetError`, from the engine and as a 400 from
+    ``/search`` (where an empty term list is caught with the request's
+    own message before the engine runs)."""
+
+    CASES = [
+        ([], "all", "at least one term"),
+        ([1], "some", "mode must be 'all' or 'any'"),
+        ([10_000], "all", "outside vocabulary"),
+    ]
+
+    @pytest.mark.parametrize("terms, mode, message", CASES)
+    def test_engine(self, lexicon, domain_scores, terms, mode, message):
+        engine = SubgraphSearchEngine(domain_scores, lexicon)
+        with pytest.raises(DatasetError, match=message):
+            engine.search(terms, 5, mode)
+
+    @pytest.mark.parametrize("terms, mode, message", CASES)
+    def test_served(self, served_search, terms, mode, message):
+        client, nodes = served_search
+        status, raw, __, __ = client._request(
+            "POST", "/search",
+            {"nodes": nodes, "terms": terms, "mode": mode, "k": 5},
+        )
+        assert status == 400
+        payload = json.loads(raw)
+        assert payload["kind"] == "DatasetError"
+        if not terms:
+            message = "'terms' must be a non-empty list of term ids"
+        assert message in payload["error"]
+
+
+class TestServedSearchStaysLocal:
+    """``/search`` filters the ranked subgraph; it never intersects
+    whole posting lists over the corpus."""
+
+    def test_hits_without_corpus_intersection(
+        self, served_search, lexicon, domain_scores, monkeypatch
+    ):
+        client, nodes = served_search
+        popular = lexicon.popular_terms(6).tolist()
+        queries = [
+            (terms, mode)
+            for terms in ([popular[0]], popular[:2], popular[2:5])
+            for mode in ("all", "any")
+        ]
+        expected = [
+            set_filter_search(domain_scores, lexicon, terms, 10, mode)
+            for terms, mode in queries
+        ]
+
+        def corpus_wide(*args, **kwargs):
+            raise AssertionError("/search intersected posting lists")
+
+        monkeypatch.setattr(SyntheticLexicon, "pages_matching", corpus_wide)
+        for (terms, mode), hits in zip(queries, expected):
+            for __ in range(2):  # the miss, then a store hit
+                payload = client.search(nodes, terms, k=10, mode=mode)
+                assert payload["hits"] == [
+                    {"page": hit.page, "score": hit.score, "rank": hit.rank}
+                    for hit in hits
+                ]
 
 
 class TestCompareEngines:

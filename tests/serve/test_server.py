@@ -8,6 +8,7 @@ is tier-1: small graph, loose-but-exact assertions, no sleeps.
 """
 
 import asyncio
+import json
 import logging
 import socket
 import threading
@@ -170,6 +171,28 @@ class TestErrorPaths:
         with pytest.raises(ServeRequestError) as info:
             client.search(NODES, terms=[0], k=0)
         assert info.value.status == 400
+
+    @pytest.mark.parametrize("path, body, kind", [
+        ("/rank", {"nodes": [None]}, "SubgraphError"),
+        ("/rank", {"nodes": [[1]]}, "SubgraphError"),
+        ("/rank", {"nodes": [{"a": 1}]}, "SubgraphError"),
+        ("/rank", {"nodes": [2**70]}, "SubgraphError"),
+        ("/rank", {"nodes": [1.5, 3]}, "SubgraphError"),
+        ("/rank", {"nodes": ["7"]}, "SubgraphError"),
+        ("/rank", {"nodes": [True, 2]}, "SubgraphError"),
+        ("/search", {"nodes": NODES, "terms": [None]}, "DatasetError"),
+        ("/semantic-search", {"terms": [None]}, "DatasetError"),
+        ("/semantic-search", {"terms": [2**70]}, "DatasetError"),
+        ("/search", {"nodes": NODES, "terms": [0], "k": None}, "ValueError"),
+        ("/rank", {"nodes": NODES, "damping": [1]}, "ValueError"),
+    ])
+    def test_malformed_field_is_400(self, client, path, body, kind):
+        """A field of the wrong JSON type is the caller's error (400),
+        never an internal one, and a non-integer node id is rejected
+        rather than coerced to a page."""
+        status, raw, __, __ = client._request("POST", path, body)
+        assert status == 400, raw
+        assert json.loads(raw)["kind"] == kind
 
     def test_unknown_path_is_404(self, client):
         status, _, _, _ = client._request("GET", "/nope")
